@@ -16,7 +16,7 @@ from .exact import (agm, crowding_estimate, crowding_r_of_theta2,
                     oracle_quad_r, oracle_reduced_modulus)
 from .invariants import (GridSpec, QuadConfig, QuadModulusTrace, ScalarField,
                          conformal_radius, harmonic_measure, harmonic_measure_all,
-                         hyperbolic_distance, hyperbolic_distance_field,
+                         harmonic_measure_field, hyperbolic_distance, hyperbolic_distance_field,
                          quad_modulus, quad_modulus_general, reduced_modulus,
                          reduced_modulus_slit_disk)
 from .kernel import (ConvergenceError, GnkSolution, KernelContext, SolveConfig,
@@ -40,6 +40,6 @@ __all__ = [
     "GridSpec", "ScalarField", "hyperbolic_distance", "hyperbolic_distance_field",
     "conformal_radius", "reduced_modulus", "reduced_modulus_slit_disk",
     "harmonic_measure", "harmonic_measure_all", "QuadConfig", "QuadModulusTrace",
-    "quad_modulus", "quad_modulus_general",
+    "quad_modulus", "quad_modulus_general", "harmonic_measure_field",
     "__version__",
 ]

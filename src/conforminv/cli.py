@@ -26,6 +26,7 @@ Exit codes: 0 success, 2 validation error, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -43,11 +44,10 @@ from .exact import oracle_quad_r, oracle_reduced_modulus
 from .invariants import (
     GridSpec,
     QuadConfig,
-    ScalarField,
-    _domain_mask,
     conformal_radius,
     harmonic_measure,
     harmonic_measure_all,
+    harmonic_measure_field,
     hyperbolic_distance,
     hyperbolic_distance_field,
     quad_modulus,
@@ -57,7 +57,7 @@ from .invariants import (
 )
 from .kernel import ConvergenceError, SolveConfig
 
-_PANEL_KINDS = {"polygon", "arcs", "rectangle", "opened_slit"}
+_GRID_HELP = '"xmin,xmax,ymin,ymax,nx,ny"; write a negative xmin as --grid=-1,...'
 
 
 def _parse_complex(text: str) -> complex:
@@ -132,7 +132,7 @@ def _solve_cfg(args) -> SolveConfig:
     return SolveConfig(gmres_tol=args.gmres_tol, max_iters=args.max_gmres)
 
 
-def _emit_field(field: ScalarField, out: str, fmt: str):
+def _emit_field(field, out: str, fmt: str):
     if fmt == "json":
         field.write_json(out)
     else:
@@ -141,6 +141,12 @@ def _emit_field(field: ScalarField, out: str, fmt: str):
 
 def _print_scalar(value: float):
     print(f"{value:.15g}")
+
+
+def _write_lines(lines, path: str | None):
+    """Write lines, newline-terminated, to the file at path or to stdout."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as fh:
+        print("\n".join(lines), file=fh)
 
 
 def cmd_hypdist(args) -> int:
@@ -194,12 +200,7 @@ def _redmod_sweep(args, desc) -> int:
         rows.append((r, m, exact, abs(m - exact)))
     lines = ["parameter,computed,exact,abs_error"]
     lines += [f"{r:.15g},{m:.15g},{e:.15g},{d:.15g}" for r, m, e, d in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -213,12 +214,7 @@ def _redmod_ngon_sweep(args) -> int:
         curve = make_polygon(list(vertices), ns, p=args.grading_p or 3.0)
         m = reduced_modulus(curve, base=0.0, cfg=cfg)
         lines.append(f"{ell},{m:.15g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     return 0
 
 
@@ -256,7 +252,7 @@ def cmd_confrad(args) -> int:
 
 
 def cmd_harm(args) -> int:
-    curve, desc = load_domain(args.domain, args.size, args.grading_p)
+    _, desc = load_domain(args.domain, args.size, args.grading_p)
     if desc["kind"] != "polygon":
         raise ValueError("harm needs a polygon domain")
     vertices = [_as_complex(v) for v in desc["vertices"]]
@@ -269,21 +265,9 @@ def cmd_harm(args) -> int:
     if args.grid:
         if not args.out:
             raise ValueError("--grid mode needs --out")
-        grid = _parse_grid(args.grid)
-        z = grid.mesh()
-        mask = _domain_mask(curve, z)
-        values = np.full(z.shape, np.nan)
-        if np.any(mask):
-            inside = z[mask]
-            if args.sum:
-                omega = harmonic_measure_all(vertices, alpha, inside, n_s=n_s,
-                                             p=p, cfg=cfg).sum(axis=0)
-            else:
-                omega = harmonic_measure(vertices, args.side, alpha, inside,
-                                         n_s=n_s, p=p, cfg=cfg)
-            values[mask] = omega
-        gx, gy = grid.axes()
-        field = ScalarField(grid_x=gx, grid_y=gy, mask=mask, values=values)
+        sides = range(1, len(vertices) + 1) if args.sum else [args.side]
+        field = harmonic_measure_field(vertices, sides, alpha, _parse_grid(args.grid),
+                                       n_s=n_s, p=p, cfg=cfg)
         _emit_field(field, args.out, args.format)
         return 0
 
@@ -309,8 +293,7 @@ def _write_quad_trace(trace, path: str):
         step = abs(rk - prev) if prev is not None else float("nan")
         lines.append(f"{k},{rk:.15g},{step:.15g},{dk:.15g}")
         prev = rk
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def cmd_quadmod(args) -> int:
@@ -377,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     hyp.add_argument("--z2", default=None)
     hyp.add_argument("--alpha", default=None,
                      help="interior base point for the map (default: z1)")
-    hyp.add_argument("--grid", default=None, help='"xmin,xmax,ymin,ymax,nx,ny"')
+    hyp.add_argument("--grid", default=None, help=_GRID_HELP)
     _add_common(hyp)
     hyp.set_defaults(func=cmd_hypdist)
 
@@ -401,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     har.add_argument("--side", type=int, default=1, help="1-based side index")
     har.add_argument("--z", default=None)
     har.add_argument("--alpha", default=None)
-    har.add_argument("--grid", default=None)
+    har.add_argument("--grid", default=None, help=_GRID_HELP)
     har.add_argument("--sum", action="store_true",
                      help="sum over all sides instead of one side")
     _add_common(har)

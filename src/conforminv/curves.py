@@ -83,6 +83,9 @@ def _uniform_t(n: int) -> np.ndarray:
 def _curve(eta, deta, ddeta, orientation, corners=()) -> BoundaryCurve:
     eta = np.ascontiguousarray(eta, dtype=complex)
     n = eta.shape[0]
+    # strong grading rounds nodes onto a corner; the kernels divide by node differences
+    if np.any(eta == np.roll(eta, 1)):
+        raise ValueError("adjacent nodes coincide; lower the grading exponent p or n_s")
     return BoundaryCurve(
         n=n,
         t=_uniform_t(n),
@@ -118,9 +121,11 @@ def _grade(tau: np.ndarray, p: float):
     return g, dg, ddg
 
 
-def _check_piece_count(n_s: int):
+def _check_grading(n_s: int, p: float):
     if n_s < 8:
         raise ValueError("need at least 8 nodes per piece")
+    if p < 2.0:
+        raise ValueError("grading exponent must be at least 2")
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +230,7 @@ def make_polygon(vertices, n_s: int, p: float = 3.0) -> BoundaryCurve:
     nodes have vanishing parametrization derivative.
     """
     vertices = np.asarray(vertices, dtype=complex)
-    _check_piece_count(n_s)
-    if p < 2.0:
-        raise ValueError("grading exponent must be at least 2")
+    _check_grading(n_s, p)
     _validate_polygon(vertices)
     m = len(vertices)
     tau = np.arange(n_s) / n_s
@@ -254,9 +257,7 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
     join to within 1e-12. A single arc spanning a full turn is treated
     as a smooth circle: uniform parametrization, no corners.
     """
-    _check_piece_count(n_s)
-    if p < 2.0:
-        raise ValueError("grading exponent must be at least 2")
+    _check_grading(n_s, p)
     arcs = [(complex(c), float(R), float(a0), float(a1)) for (c, R, a0, a1) in arcs]
     if not arcs:
         raise ValueError("need at least one arc")
@@ -374,9 +375,7 @@ def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
     open into, and the arc the unit circle opens into. Corner nodes sit
     at the two junctions (indices 0 and n_s).
     """
-    _check_piece_count(n_s)
-    if p < 2.0:
-        raise ValueError("grading exponent must be at least 2")
+    _check_grading(n_s, p)
     if case not in ("G1", "G2", "G3"):
         raise ValueError("case must be 'G1', 'G2' or 'G3'")
     if case in ("G1", "G2") and a != 0.0:
@@ -439,19 +438,40 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(values))
 
 
+def _boundary_sums(curve: BoundaryCurve, z, values=None):
+    """Flat (inside, rows, cauchy, clear) at points z from one block-tiled pass.
+
+    rows = w sum_j eta'_j / (eta_j - z), w = 2 pi / n, is 2 pi i times the
+    winding number and the Cauchy denominator; cauchy weights the same sum
+    by values (None without); clear = min_j |eta_j - z|; inside as in
+    winding_inside. A z on a node gets nan sums: outside, as it should be.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    rows = np.empty(z.shape, dtype=complex)
+    cauchy = None if values is None else np.empty(z.shape, dtype=complex)
+    clear = np.empty(z.shape, dtype=float)
+    block = max(1, 2_000_000 // curve.n)  # complex temporaries of 32 MB
+    for start in range(0, z.size, block):
+        sl = slice(start, start + block)
+        diff = curve.eta[None, :] - z[sl, None]
+        clear[sl] = np.min(np.abs(diff), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ker = curve.deta[None, :] / diff
+            rows[sl] = curve.weight * np.sum(ker, axis=1)
+            if values is not None:
+                cauchy[sl] = curve.weight * (ker @ values)
+    inside = np.rint(_winding(rows)) == (1.0 if curve.orientation == "ccw" else 0.0)
+    return inside, rows, cauchy, clear
+
+
+def _winding(rows: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        return (rows / (2j * np.pi)).real
+
+
 def winding_number(curve: BoundaryCurve, z) -> np.ndarray:
     """Discrete winding number of the curve around each point z."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(z.shape, dtype=float)
-    block = max(1, 4_000_000 // curve.n)
-    for start in range(0, z.size, block):
-        zz = z[start:start + block]
-        # a z hitting a node exactly gives inf/nan, which classifies as
-        # "not inside" downstream -- the right answer for boundary points
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.sum(curve.deta / (curve.eta[None, :] - zz[:, None]), axis=1)
-            out[start:start + block] = (curve.weight * s / (2j * np.pi)).real
-    return out
+    return _winding(_boundary_sums(curve, z)[1])
 
 
 def winding_inside(curve: BoundaryCurve, z):
@@ -463,10 +483,8 @@ def winding_inside(curve: BoundaryCurve, z):
     classified reliably; see boundary_clearance.
     """
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    w = np.rint(winding_number(curve, np.atleast_1d(z)))
-    inside = w == (1.0 if curve.orientation == "ccw" else 0.0)
-    return bool(inside[0]) if scalar else inside.reshape(z.shape)
+    inside = _boundary_sums(curve, z)[0]
+    return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
 
 def boundary_clearance(curve: BoundaryCurve, z) -> np.ndarray:
@@ -476,14 +494,7 @@ def boundary_clearance(curve: BoundaryCurve, z) -> np.ndarray:
     spacings of the boundary; callers compare this clearance against
     ``factor * (2 pi / n) * max |eta'|``.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty(z.shape, dtype=float)
-    block = max(1, 4_000_000 // curve.n)
-    for start in range(0, z.size, block):
-        zz = z[start:start + block]
-        out[start:start + block] = np.min(
-            np.abs(curve.eta[None, :] - zz[:, None]), axis=1)
-    return out
+    return _boundary_sums(curve, z)[3]
 
 
 def node_spacing_scale(curve: BoundaryCurve) -> float:

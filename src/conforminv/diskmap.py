@@ -15,7 +15,8 @@ f(infinity) = 0, sending the domain onto the exterior of a disk.
 
 Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
-closed-form expression in f.
+closed-form expression in f. The Cauchy sums and point location (winding
+number, nearest-node distance) share one pass over the boundary nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import BoundaryCurve, boundary_clearance, node_spacing_scale, winding_inside
+# boundary_clearance, winding_inside: perfbench/spans.py times location under these names
+from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
+                     node_spacing_scale, winding_inside)
 from .kernel import (GnkSolution, SolveConfig, bounded_context, solve_neumann_system,
                      unbounded_context)
 
@@ -91,53 +94,47 @@ def map_unbounded(curve: BoundaryCurve, beta: complex,
                    h=sol.h, c=c, solution=sol)
 
 
-def _cauchy_f(dmap: DiskMap, z: np.ndarray) -> np.ndarray:
-    """Barycentric-normalized discrete Cauchy integral for f at interior z.
+def _cauchy_pass(dmap: DiskMap, z: np.ndarray):
+    """Inside flags, node clearances and f at flat points z, from one pass.
 
-    The same trapezoidal sums appear in numerator and denominator, so the
-    dominant quadrature error cancels; for the unbounded mode the exact
-    value 2 pi i of the missing residue at infinity enters the
-    denominator (the boundary integral of 1/(eta - z) over a clockwise
-    curve vanishes for z in the exterior domain).
+    f is the barycentric-normalized discrete Cauchy integral, whose numerator
+    and denominator share their dominant quadrature error. The unbounded mode
+    adds the residue 2 pi i at infinity to the denominator: the clockwise
+    boundary sum of 1/(eta - z) vanishes in the exterior domain.
     """
-    cv = dmap.curve
-    w = cv.weight
-    out = np.empty(z.shape, dtype=complex)
-    block = max(1, 2_000_000 // cv.n)
-    for start in range(0, z.size, block):
-        zz = z[start:start + block]
-        ker = cv.deta[None, :] / (cv.eta[None, :] - zz[:, None])
-        num = w * (ker @ dmap.f_boundary)
-        den = w * np.sum(ker, axis=1)
-        if dmap.mode == "unbounded":
-            den = den + 2j * np.pi
-        out[start:start + block] = num / den
-    return out
+    inside, rows, num, clearance = _boundary_sums(dmap.curve, z, dmap.f_boundary)
+    den = rows + 2j * np.pi if dmap.mode == "unbounded" else rows
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return inside, clearance, num / den
 
 
-def cauchy_eval(dmap: DiskMap, z, validate: bool = True) -> np.ndarray:
+def _cauchy_f(dmap: DiskMap, z: np.ndarray) -> np.ndarray:
+    """f at points z of the domain (see _cauchy_pass)."""
+    return _cauchy_pass(dmap, z)[2]
+
+
+def _phi(dmap: DiskMap, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    dz = z - dmap.base
+    return dmap.c * dz * np.exp(dz * f if dmap.mode == "bounded" else f)
+
+
+def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
     """Evaluate the conformal map at points of the domain.
 
-    Raises ValueError for points outside the domain; points within about
-    five node spacings of the boundary trigger an accuracy warning.
+    One pass over the boundary nodes both locates the points and forms
+    their Cauchy sums. Raises ValueError for points outside the domain;
+    points within about five node spacings of the boundary trigger an
+    accuracy warning.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     scalar = np.asarray(z).ndim == 0
-    flat = z_arr.ravel()
-    if validate:
-        if not np.all(winding_inside(dmap.curve, flat)):
-            raise ValueError("evaluation point outside the domain")
-        clearance = boundary_clearance(dmap.curve, flat)
-        if np.any(clearance < 5.0 * node_spacing_scale(dmap.curve)):
-            warnings.warn("evaluation point close to the boundary; "
-                          "accuracy degrades there", stacklevel=2)
-    f = _cauchy_f(dmap, flat)
-    if dmap.mode == "bounded":
-        dz = flat - dmap.base
-        phi = dmap.c * dz * np.exp(dz * f)
-    else:
-        phi = dmap.c * (flat - dmap.base) * np.exp(f)
-    phi = phi.reshape(z_arr.shape)
+    inside, clearance, f = _cauchy_pass(dmap, z_arr)
+    if not np.all(inside):
+        raise ValueError("evaluation point outside the domain")
+    if np.any(clearance < 5.0 * node_spacing_scale(dmap.curve)):
+        warnings.warn("evaluation point close to the boundary; "
+                      "accuracy degrades there", stacklevel=2)
+    phi = _phi(dmap, z_arr.ravel(), f).reshape(z_arr.shape)
     return phi[0] if scalar else phi
 
 

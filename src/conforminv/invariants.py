@@ -17,10 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (BoundaryCurve, boundary_clearance, make_opened_slit_disk,
-                     make_polygon, make_rectangle, node_spacing_scale,
-                     winding_inside, winding_number)
-from .diskmap import cauchy_eval, map_bounded, map_unbounded, mobius_three_points
+# boundary_clearance: perfbench/spans.py times point location under this name
+from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
+                     make_opened_slit_disk, make_polygon, make_rectangle,
+                     node_spacing_scale, winding_inside, winding_number)
+from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
+                      mobius_three_points)
 from .kernel import SolveConfig
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "reduced_modulus_slit_disk",
     "harmonic_measure",
     "harmonic_measure_all",
+    "harmonic_measure_field",
     "QuadConfig",
     "QuadModulusTrace",
     "quad_modulus",
@@ -107,12 +110,25 @@ class ScalarField:
             fh.write("\n")
 
 
-def _domain_mask(curve: BoundaryCurve, z: np.ndarray) -> np.ndarray:
+def _admissible(curve: BoundaryCurve, inside, clearance):
     """Inside test plus a 10-node-spacing standoff from the boundary."""
-    flat = z.ravel()
-    inside = winding_inside(curve, flat)
-    clear = boundary_clearance(curve, flat) > 10.0 * node_spacing_scale(curve)
-    return (inside & clear).reshape(z.shape)
+    return inside & (clearance > 10.0 * node_spacing_scale(curve))
+
+
+def _domain_mask(curve: BoundaryCurve, z: np.ndarray) -> np.ndarray:
+    inside, _, _, clearance = _boundary_sums(curve, z)
+    return _admissible(curve, inside, clearance).reshape(z.shape)
+
+
+def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
+    """value_of(Phi(z)) at the admissible grid nodes z, all from one boundary pass."""
+    x, y = grid.axes()
+    z = grid.mesh().ravel()
+    inside, clearance, f = _cauchy_pass(dm, z)
+    mask = _admissible(dm.curve, inside, clearance)
+    values = np.full(z.shape, np.nan)
+    values[mask] = value_of(_phi(dm, z[mask], f[mask]))
+    return ScalarField(x, y, mask.reshape(y.size, x.size), values.reshape(y.size, x.size))
 
 
 # ----------------------------------------------------------------------
@@ -151,14 +167,7 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
     """
     dm = map_bounded(curve, alpha, "unit", cfg)
     w1 = cauchy_eval(dm, complex(z1))
-    z = grid.mesh()
-    mask = _domain_mask(curve, z)
-    values = np.full(z.shape, np.nan)
-    if mask.any():
-        w = cauchy_eval(dm, z[mask], validate=False)
-        values[mask] = _pair_distance(w1, w)
-    x, y = grid.axes()
-    return ScalarField(grid_x=x, grid_y=y, mask=mask, values=values)
+    return _disk_field(dm, grid, lambda w: _pair_distance(w1, w))
 
 
 # ----------------------------------------------------------------------
@@ -228,11 +237,6 @@ def reduced_modulus_slit_disk(case: str, r: float, a: float = 0.0,
 # harmonic measure of polygon sides
 # ----------------------------------------------------------------------
 
-def _vertex_images(dm, m: int, n_s: int) -> np.ndarray:
-    zet = dm.phi_boundary[np.arange(m) * n_s]
-    return zet / np.abs(zet)
-
-
 def _side_measure(zet: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
     """Harmonic measure of the arc between vertex images k-1 and k (1-based side k)."""
     m = zet.size
@@ -248,14 +252,11 @@ def _side_measure(zet: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
     return np.angle((1j - u) / (1.0 - 1j * u)) / math.pi
 
 
-def _polygon_map_data(vertices, alpha, n_s, p, cfg, z):
-    vertices = np.asarray(vertices, dtype=complex)
-    curve = make_polygon(vertices, n_s, p)
-    dm = map_bounded(curve, alpha, "unit", cfg)
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    w = cauchy_eval(dm, z)
-    zet = _vertex_images(dm, len(vertices), n_s)
-    return zet, w
+def _polygon_map(vertices, alpha, n_s, p, cfg):
+    """Disk map of the polygon and the unit-circle images of its vertices."""
+    dm = map_bounded(make_polygon(vertices, n_s, p), alpha, "unit", cfg)
+    zet = dm.phi_boundary[np.arange(len(vertices)) * n_s]
+    return dm, zet / np.abs(zet)
 
 
 def harmonic_measure(vertices, side: int, alpha: complex, z,
@@ -268,11 +269,10 @@ def harmonic_measure(vertices, side: int, alpha: complex, z,
     whose harmonic measure at the image point has a closed form after a
     Moebius transform pinning the arc at (-i, 1, i).
     """
-    m = len(vertices)
-    if not 1 <= side <= m:
+    if not 1 <= side <= len(vertices):
         raise ValueError("side index out of range")
-    zet, w = _polygon_map_data(vertices, alpha, n_s, p, cfg, z)
-    out = _side_measure(zet, side, w)
+    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    out = _side_measure(zet, side, cauchy_eval(dm, np.atleast_1d(z)))
     return out if np.asarray(z).ndim else float(out[0])
 
 
@@ -284,9 +284,22 @@ def harmonic_measure_all(vertices, alpha: complex, z, n_s: int = 512,
     One integral-equation solve is shared across all sides; the columns
     sum to 1 up to rounding because the side arcs partition the circle.
     """
-    zet, w = _polygon_map_data(vertices, alpha, n_s, p, cfg, z)
-    m = zet.size
-    return np.vstack([_side_measure(zet, k, w) for k in range(1, m + 1)])
+    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    w = cauchy_eval(dm, np.atleast_1d(z))
+    return np.vstack([_side_measure(zet, k, w) for k in range(1, zet.size + 1)])
+
+
+def harmonic_measure_field(vertices, sides, alpha: complex, grid: GridSpec,
+                           n_s: int = 512, p: float = 3.0,
+                           cfg: SolveConfig | None = None) -> ScalarField:
+    """Harmonic measure of the union of the given (1-based) sides on a grid.
+
+    Nodes are masked as in hyperbolic_distance_field.
+    """
+    if not sides or not all(1 <= k <= len(vertices) for k in sides):
+        raise ValueError("side index out of range")
+    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    return _disk_field(dm, grid, lambda w: np.sum([_side_measure(zet, k, w) for k in sides], 0))
 
 
 # ----------------------------------------------------------------------

@@ -75,7 +75,6 @@ class SolveConfig:
 
     gmres_tol: float = 0.5e-14
     max_iters: int = 100
-    dense_direct: bool = False
 
 
 @dataclass
@@ -278,11 +277,7 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
     rhs_norm = float(np.linalg.norm(rhs))
     iters = 0
-    if cfg.dense_direct:
-        if n > 1024:
-            raise ValueError("dense direct solve is limited to n <= 1024")
-        rho = np.linalg.solve(np.eye(n) - w * N, rhs)
-    elif rhs_norm == 0.0:
+    if rhs_norm == 0.0:
         rho = np.zeros(n)
     else:
         op = LinearOperator((n, n), matvec=lambda v: v - w * (N @ v), dtype=float)

@@ -9,6 +9,7 @@ import pytest
 
 from conforminv.cli import main
 from conforminv.exact import oracle_reduced_modulus
+from conforminv.invariants import harmonic_measure
 
 FULL_TURN = 2.0 * math.pi
 
@@ -69,6 +70,36 @@ def test_hypdist_grid_json(disk_json, tmp_path):
     assert len(doc["grid_x"]) == 3 and len(doc["grid_y"]) == 3
     assert len(doc["values"]) == 3 and len(doc["values"][0]) == 3
     assert doc["inside"][1][1] is True
+
+
+def test_harm_grid_matches_pointwise(square_json, tmp_path):
+    # a negative first grid value needs the --grid=... form
+    grid = "--grid=-0.9,0.9,-0.9,0.9,7,7"
+    harm_out, dist_out = tmp_path / "harm.csv", tmp_path / "dist.csv"
+    assert main(["harm", square_json, "--side", "2", grid, "--out", str(harm_out)]) == 0
+    assert main(["hypdist", square_json, "--z1", "0", grid, "--out", str(dist_out)]) == 0
+    rows = list(csv.reader(harm_out.open()))[1:]
+    assert [r[:3] for r in rows] == [r[:3] for r in list(csv.reader(dist_out.open()))[1:]]
+    inside = [r for r in rows if r[2] == "1"]
+    assert 0 < len(inside) < len(rows)
+    z = [complex(float(x), float(y)) for x, y, _, _ in inside]
+    want = harmonic_measure([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 2, 0.0, z, n_s=128)
+    np.testing.assert_allclose([float(r[3]) for r in inside], want, rtol=0, atol=1e-12)
+
+    assert main(["harm", square_json, "--sum", grid, "--out", str(harm_out)]) == 0
+    sums = [float(r[3]) for r in csv.reader(harm_out.open()) if r[2] == "1"]
+    np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-8)
+
+
+def test_node_collapse_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps(
+        {"kind": "polygon",
+         "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]]}))
+    rc = main(["hypdist", str(path), "--ns", "1024", "--grading-p", "6",
+               "--z1", "2i", "--z2", "3"])
+    assert rc == 2
+    assert "lower the grading exponent" in capsys.readouterr().err
 
 
 def test_redmod_exterior_scalar(tmp_path, capsys):

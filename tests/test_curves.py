@@ -108,6 +108,16 @@ def test_polygon_validation():
         make_polygon([0.0, 1.0, 1.0j], 32, p=1.5)
 
 
+def test_polygon_node_collapse_rejected():
+    # strong grading rounds v + dz g(tau) onto the vertex for the nodes next
+    # to a corner; that is a validation error, not a NaN residual in the solver
+    L = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+    for n_s in (512, 1024):
+        with pytest.raises(ValueError, match="lower the grading exponent"):
+            make_polygon(L, n_s, p=6.0)
+    assert make_polygon(L, 2048, p=4.0).n == 6 * 2048
+
+
 def test_rectangle():
     r = 1.5
     cv = make_rectangle(r, 16)

@@ -54,6 +54,15 @@ def test_distance_field_matches_pointwise(circle):
         for i, x in enumerate(fld.grid_x):
             want = disk_metric(0.15 + 0.05j, (x + 1j * y) / 2.0)
             assert abs(fld.values[j, i] - want) < 1e-11
+    # a cornered domain, against pointwise distances; at n_s = 128 the
+    # ten-spacing standoff would mask every node of this L
+    L = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+    cv = make_polygon(L, 256, p=3.0)
+    fld = hyperbolic_distance_field(cv, 2j, 2j, GridSpec(-1.0, 6.0, -1.0, 4.0, 8, 6))
+    assert 0 < fld.mask.sum() < fld.mask.size
+    for j, i in zip(*np.nonzero(fld.mask)):
+        z = fld.grid_x[i] + 1j * fld.grid_y[j]
+        assert abs(fld.values[j, i] - hyperbolic_distance(cv, 2j, 2j, z)) < 1e-12
 
 
 def test_distance_field_masks_outside(circle):
