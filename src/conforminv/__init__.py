@@ -20,8 +20,8 @@ from .invariants import (GridSpec, QuadConfig, QuadModulusTrace, ScalarField,
                          quad_modulus, quad_modulus_general, reduced_modulus,
                          reduced_modulus_slit_disk)
 from .kernel import (ConvergenceError, GnkSolution, KernelContext, SolveConfig,
-                     apply_M, apply_N, bounded_context, conjugate_periodic,
-                     kernel_M1, kernel_N, solve_neumann_system, unbounded_context)
+                     apply_M, bounded_context, conjugate_periodic,
+                     solve_neumann_system, unbounded_context)
 
 __version__ = "0.1.0"
 
@@ -29,8 +29,8 @@ __all__ = [
     "BoundaryCurve", "make_ellipse", "make_amoeba", "make_polygon",
     "make_circular_arc_polygon", "make_rectangle", "make_opened_slit_disk",
     "spectral_derivative", "winding_inside",
-    "KernelContext", "bounded_context", "unbounded_context", "kernel_N",
-    "kernel_M1", "conjugate_periodic", "apply_N", "apply_M", "SolveConfig",
+    "KernelContext", "bounded_context", "unbounded_context",
+    "conjugate_periodic", "apply_M", "SolveConfig",
     "GnkSolution", "ConvergenceError", "solve_neumann_system",
     "DiskMap", "map_bounded", "map_unbounded", "cauchy_eval", "Mobius",
     "mobius_three_points", "slit_opening_forward",

@@ -88,6 +88,19 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(xmin, xmax, ymin, ymax, nx, ny)
 
 
+def _setting(value, desc: dict, key: str, default=None):
+    """A command-line override unless it is None, else the domain file's field.
+
+    An explicit 0 is kept, so the builders reject it instead of a default
+    silently taking its place.
+    """
+    if value is None:
+        value = desc.get(key, default)
+        if value is None:
+            raise ValueError(f"domain file needs field {key!r}")
+    return value
+
+
 def load_domain(path: str, size: int | None = None, grading_p: float | None = None):
     """Build the BoundaryCurve described by a JSON domain file.
 
@@ -97,15 +110,10 @@ def load_domain(path: str, size: int | None = None, grading_p: float | None = No
     with open(path) as fh:
         desc = json.load(fh)
     kind = desc.get("kind")
-    p = float(grading_p if grading_p is not None else desc.get("grading_p", 3.0))
+    p = float(_setting(grading_p, desc, "grading_p", 3.0))
 
     def count(key, default=None):
-        if size is not None:
-            return int(size)
-        value = desc.get(key, default)
-        if value is None:
-            raise ValueError(f"domain file needs field {key!r}")
-        return int(value)
+        return int(_setting(size, desc, key, default))
 
     if kind == "polygon":
         vertices = [_as_complex(v) for v in desc["vertices"]]
@@ -181,18 +189,17 @@ def _redmod_sweep(args, desc) -> int:
             a = float(desc.get("a", 0.0))
             if r <= a:
                 continue
-            ns = int(args.size or desc.get("ns", 512))
-            m = reduced_modulus_slit_disk(desc["case"], r, a=a, n_s=ns,
-                                          p=args.grading_p or float(desc.get("grading_p", 3.0)),
-                                          cfg=cfg)
+            ns = int(_setting(args.size, desc, "ns", 512))
+            p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
+            m = reduced_modulus_slit_disk(desc["case"], r, a=a, n_s=ns, p=p, cfg=cfg)
             exact = oracle_reduced_modulus(desc["case"], r, a)
         elif kind == "ellipse" and desc.get("side", "interior") == "exterior":
-            curve = make_ellipse(1.0, r, int(args.size or desc["n"]), "exterior")
+            curve = make_ellipse(1.0, r, int(_setting(args.size, desc, "n")), "exterior")
             m = reduced_modulus(curve, base=None, cfg=cfg)
             exact = oracle_reduced_modulus("ellipse_exterior", r)
         elif kind == "ellipse":
             curve = make_ellipse(float(np.cosh(r)), float(np.sinh(r)),
-                                 int(args.size or desc["n"]), "interior")
+                                 int(_setting(args.size, desc, "n")), "interior")
             m = reduced_modulus(curve, base=0.0, cfg=cfg)
             exact = oracle_reduced_modulus("ellipse_interior", r)
         else:
@@ -207,11 +214,12 @@ def _redmod_sweep(args, desc) -> int:
 def _redmod_ngon_sweep(args) -> int:
     start, stop = (int(v) for v in args.ngon_sweep.split(":"))
     cfg = _solve_cfg(args)
-    ns = int(args.size or 512)
+    ns = int(_setting(args.size, {}, "ns", 512))
+    p = float(_setting(args.grading_p, {}, "grading_p", 3.0))
     lines = ["parameter,computed"]
     for ell in range(start, stop + 1):
         vertices = np.exp(2j * np.pi * np.arange(ell) / ell)
-        curve = make_polygon(list(vertices), ns, p=args.grading_p or 3.0)
+        curve = make_polygon(list(vertices), ns, p=p)
         m = reduced_modulus(curve, base=0.0, cfg=cfg)
         lines.append(f"{ell},{m:.15g}")
     _write_lines(lines, args.out)
@@ -230,8 +238,8 @@ def cmd_redmod(args) -> int:
     if desc["kind"] == "opened_slit":
         m = reduced_modulus_slit_disk(desc["case"], float(desc["r"]),
                                       a=float(desc.get("a", 0.0)),
-                                      n_s=int(args.size or desc.get("ns", 512)),
-                                      p=args.grading_p or float(desc.get("grading_p", 3.0)),
+                                      n_s=int(_setting(args.size, desc, "ns", 512)),
+                                      p=float(_setting(args.grading_p, desc, "grading_p", 3.0)),
                                       cfg=cfg)
     else:
         base = _parse_complex(args.base) if args.base else None
@@ -256,8 +264,8 @@ def cmd_harm(args) -> int:
     if desc["kind"] != "polygon":
         raise ValueError("harm needs a polygon domain")
     vertices = [_as_complex(v) for v in desc["vertices"]]
-    n_s = int(args.size or desc["ns"])
-    p = args.grading_p or float(desc.get("grading_p", 3.0))
+    n_s = int(_setting(args.size, desc, "ns"))
+    p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
     alpha = (_parse_complex(args.alpha) if args.alpha
              else complex(np.mean(np.asarray(vertices, dtype=complex))))
     cfg = _solve_cfg(args)
@@ -297,8 +305,8 @@ def _write_quad_trace(trace, path: str):
 
 
 def cmd_quadmod(args) -> int:
-    qcfg = QuadConfig(n_s=args.size or 512,
-                      grading_p=args.grading_p or 3.0,
+    qcfg = QuadConfig(n_s=int(_setting(args.size, {}, "ns", 512)),
+                      grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)),
                       eps=args.quad_eps, max_iter=args.quad_max,
                       solve=_solve_cfg(args))
     angles = None

@@ -44,9 +44,9 @@ class BoundaryCurve:
         Number of nodes.
     t : ndarray
         Parameter values, shape (n,).
-    eta, deta, ddeta : ndarray
-        Complex samples of the curve and its first two parameter
-        derivatives, shape (n,).
+    eta, deta : ndarray
+        Complex samples of the curve and its parameter derivative,
+        shape (n,).
     orientation : str
         ``"ccw"`` or ``"cw"``.
     corners : tuple of int
@@ -57,14 +57,13 @@ class BoundaryCurve:
     t: np.ndarray
     eta: np.ndarray
     deta: np.ndarray
-    ddeta: np.ndarray
     orientation: str = "ccw"
     corners: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.orientation not in ("ccw", "cw"):
             raise ValueError("orientation must be 'ccw' or 'cw'")
-        for name in ("t", "eta", "deta", "ddeta"):
+        for name in ("t", "eta", "deta"):
             arr = getattr(self, name)
             if arr.shape != (self.n,):
                 raise ValueError(f"{name} must have shape ({self.n},)")
@@ -80,7 +79,7 @@ def _uniform_t(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def _curve(eta, deta, ddeta, orientation, corners=()) -> BoundaryCurve:
+def _curve(eta, deta, orientation, corners=()) -> BoundaryCurve:
     eta = np.ascontiguousarray(eta, dtype=complex)
     n = eta.shape[0]
     # strong grading rounds nodes onto a corner; the kernels divide by node differences
@@ -91,7 +90,6 @@ def _curve(eta, deta, ddeta, orientation, corners=()) -> BoundaryCurve:
         t=_uniform_t(n),
         eta=eta,
         deta=np.ascontiguousarray(deta, dtype=complex),
-        ddeta=np.ascontiguousarray(ddeta, dtype=complex),
         orientation=orientation,
         corners=tuple(int(c) for c in corners),
     )
@@ -102,11 +100,11 @@ def _curve(eta, deta, ddeta, orientation, corners=()) -> BoundaryCurve:
 # ----------------------------------------------------------------------
 
 def _grade(tau: np.ndarray, p: float):
-    """Grading map g(tau) = tau^p / (tau^p + (1-tau)^p) and derivatives.
+    """Grading map g(tau) = tau^p / (tau^p + (1-tau)^p) and its derivative.
 
-    Returns (g, g', g'') on [0, 1]. For p >= 2 the first derivative
-    vanishes at both endpoints, which is what concentrates nodes at the
-    corners of a piecewise parametrization.
+    Returns (g, g') on [0, 1]. For p >= 2 the derivative vanishes at both
+    endpoints, which is what concentrates nodes at the corners of a
+    piecewise parametrization.
     """
     tau = np.asarray(tau, dtype=float)
     a = tau ** p
@@ -115,10 +113,7 @@ def _grade(tau: np.ndarray, p: float):
     g = a / w
     u = tau ** (p - 1.0) * (1.0 - tau) ** (p - 1.0)
     dg = p * u / (w * w)
-    du = (p - 1.0) * tau ** (p - 2.0) * (1.0 - tau) ** (p - 2.0) * (1.0 - 2.0 * tau)
-    dw = p * (tau ** (p - 1.0) - (1.0 - tau) ** (p - 1.0))
-    ddg = p * (du * w - 2.0 * u * dw) / (w * w * w)
-    return g, dg, ddg
+    return g, dg
 
 
 def _check_grading(n_s: int, p: float):
@@ -155,8 +150,7 @@ def make_ellipse(a: float, b: float, n: int, kind: str = "interior") -> Boundary
         orientation = "cw"
     else:
         raise ValueError("kind must be 'interior' or 'exterior'")
-    # both parametrizations satisfy eta'' = -eta
-    return _curve(eta, deta, -eta, orientation)
+    return _curve(eta, deta, orientation)
 
 
 def make_amoeba(n: int) -> BoundaryCurve:
@@ -171,9 +165,7 @@ def make_amoeba(n: int) -> BoundaryCurve:
     t = _uniform_t(n)
     radius = np.exp(np.cos(t)) * np.cos(2.0 * t) ** 2 + np.exp(np.sin(t)) * np.sin(2.0 * t) ** 2
     eta = radius * np.exp(1j * t)
-    deta = spectral_derivative(eta)
-    ddeta = spectral_derivative(deta)
-    return _curve(eta, deta, ddeta, "ccw")
+    return _curve(eta, spectral_derivative(eta), "ccw")
 
 
 # ----------------------------------------------------------------------
@@ -234,19 +226,17 @@ def make_polygon(vertices, n_s: int, p: float = 3.0) -> BoundaryCurve:
     _validate_polygon(vertices)
     m = len(vertices)
     tau = np.arange(n_s) / n_s
-    g, dg, ddg = _grade(tau, p)
+    g, dg = _grade(tau, p)
     scale = m / TWO_PI  # d tau / d t on each side
     eta = np.empty(m * n_s, dtype=complex)
     deta = np.empty_like(eta)
-    ddeta = np.empty_like(eta)
     for k in range(m):
         dz = vertices[(k + 1) % m] - vertices[k]
         sl = slice(k * n_s, (k + 1) * n_s)
         eta[sl] = vertices[k] + dz * g
         deta[sl] = dz * dg * scale
-        ddeta[sl] = dz * ddg * scale * scale
     corners = tuple(k * n_s for k in range(m))
-    return _curve(eta, deta, ddeta, "ccw", corners)
+    return _curve(eta, deta, "ccw", corners)
 
 
 def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
@@ -274,9 +264,8 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
         dphi = (a1 - a0) / TWO_PI
         eta = c + R * np.exp(1j * phi)
         deta = 1j * R * dphi * np.exp(1j * phi)
-        ddeta = -R * dphi * dphi * np.exp(1j * phi)
         orientation = "ccw" if a1 > a0 else "cw"
-        return _curve(eta, deta, ddeta, orientation)
+        return _curve(eta, deta, orientation)
     # closure check
     for k in range(m):
         c, R, _, a1 = arcs[k]
@@ -286,23 +275,20 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
         if abs(end - start) > 1e-12:
             raise ValueError(f"arc chain not closed at junction {k}")
     tau = np.arange(n_s) / n_s
-    g, dg, ddg = _grade(tau, p)
+    g, dg = _grade(tau, p)
     scale = m / TWO_PI
     eta = np.empty(m * n_s, dtype=complex)
     deta = np.empty_like(eta)
-    ddeta = np.empty_like(eta)
     for k, (c, R, a0, a1) in enumerate(arcs):
         dphi = a1 - a0
         phi = a0 + dphi * g
         dphi_dt = dphi * dg * scale
-        ddphi_dt = dphi * ddg * scale * scale
         e = np.exp(1j * phi)
         sl = slice(k * n_s, (k + 1) * n_s)
         eta[sl] = c + R * e
         deta[sl] = 1j * R * e * dphi_dt
-        ddeta[sl] = R * e * (1j * ddphi_dt - dphi_dt * dphi_dt)
     corners = tuple(k * n_s for k in range(m))
-    return _curve(eta, deta, ddeta, "ccw", corners)
+    return _curve(eta, deta, "ccw", corners)
 
 
 def make_rectangle(r: float, n_s: int, p: float = 3.0) -> BoundaryCurve:
@@ -355,16 +341,11 @@ def _sqrt_on_upper(theta, r):
     return np.exp(0.25j * np.asarray(theta, dtype=float)) * np.sqrt(bracket)
 
 
-def _opened_arc_piece(theta, dtheta_dt, ddtheta_dt, coef, branch, par):
+def _opened_arc_piece(theta, dtheta_dt, coef, branch, par):
     """Arc piece zeta(t) = coef * S(theta(t)) with S^2 = e^{i theta} - par."""
     s = branch(theta, par)
-    e = np.exp(1j * theta)
-    ds = 0.5j * e / s
-    dds = -e * (s + 1j * ds) / (2.0 * s * s)
-    eta = coef * s
-    deta = coef * ds * dtheta_dt
-    ddeta = coef * (dds * dtheta_dt * dtheta_dt + ds * ddtheta_dt)
-    return eta, deta, ddeta
+    ds = 0.5j * np.exp(1j * theta) / s
+    return coef * s, coef * ds * dtheta_dt
 
 
 def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
@@ -383,25 +364,21 @@ def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
     if not 0.0 <= a < r < 1.0:
         raise ValueError("parameters must satisfy 0 <= a < r < 1")
     tau = np.arange(n_s) / n_s
-    g, dg, ddg = _grade(tau, p)
+    g, dg = _grade(tau, p)
     inv_w = 1.0 / np.pi  # d tau / d t, two pieces of parameter width pi
     n = 2 * n_s
     eta = np.empty(n, dtype=complex)
     deta = np.empty_like(eta)
-    ddeta = np.empty_like(eta)
     if case == "G2":
         coef = 2.0j * np.sqrt(r)
         y_top = 2.0 * np.sqrt(r * (1.0 - r))
         # piece 0: the circle image, theta from 0 to 2 pi
         theta = TWO_PI * g
-        e0, d0, dd0 = _opened_arc_piece(
-            theta, TWO_PI * dg * inv_w, TWO_PI * ddg * inv_w * inv_w,
-            coef, _sqrt_on_upper, r)
-        eta[:n_s], deta[:n_s], ddeta[:n_s] = e0, d0, dd0
+        eta[:n_s], deta[:n_s] = _opened_arc_piece(
+            theta, TWO_PI * dg * inv_w, coef, _sqrt_on_upper, r)
         # piece 1: the opened slit, segment from -i y_top to +i y_top
         eta[n_s:] = 1j * y_top * (2.0 * g - 1.0)
         deta[n_s:] = 2.0j * y_top * dg * inv_w
-        ddeta[n_s:] = 2.0j * y_top * ddg * inv_w * inv_w
     else:
         # G1 is G3 with a = 0
         coef = 2.0 * np.sqrt(r - a)
@@ -409,14 +386,11 @@ def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
         # piece 0: the opened slit, segment from +i y_top to -i y_top
         eta[:n_s] = 1j * y_top * (1.0 - 2.0 * g)
         deta[:n_s] = -2.0j * y_top * dg * inv_w
-        ddeta[:n_s] = -2.0j * y_top * ddg * inv_w * inv_w
         # piece 1: the circle image, theta from -pi to pi
         theta = -np.pi + TWO_PI * g
-        e1, d1, dd1 = _opened_arc_piece(
-            theta, TWO_PI * dg * inv_w, TWO_PI * ddg * inv_w * inv_w,
-            coef, _sqrt_on_right, a)
-        eta[n_s:], deta[n_s:], ddeta[n_s:] = e1, d1, dd1
-    return _curve(eta, deta, ddeta, "ccw", (0, n_s))
+        eta[n_s:], deta[n_s:] = _opened_arc_piece(
+            theta, TWO_PI * dg * inv_w, coef, _sqrt_on_right, a)
+    return _curve(eta, deta, "ccw", (0, n_s))
 
 
 # ----------------------------------------------------------------------

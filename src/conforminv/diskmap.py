@@ -28,7 +28,7 @@ import numpy as np
 
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
 from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
-                     node_spacing_scale, winding_inside)
+                     node_spacing_scale, winding_inside, winding_number)
 from .kernel import (GnkSolution, SolveConfig, bounded_context, solve_neumann_system,
                      unbounded_context)
 
@@ -84,6 +84,8 @@ def map_unbounded(curve: BoundaryCurve, beta: complex,
     """
     ctx = unbounded_context(curve)
     beta = complex(beta)
+    if np.rint(winding_number(curve, beta)[0]) != -1.0:
+        raise ValueError("auxiliary point beta must lie in the bounded complement")
     gamma = -np.log(np.abs(curve.eta - beta))
     sol = solve_neumann_system(ctx, gamma, cfg)
     c = float(np.exp(-sol.h))
@@ -106,11 +108,6 @@ def _cauchy_pass(dmap: DiskMap, z: np.ndarray):
     den = rows + 2j * np.pi if dmap.mode == "unbounded" else rows
     with np.errstate(divide="ignore", invalid="ignore"):
         return inside, clearance, num / den
-
-
-def _cauchy_f(dmap: DiskMap, z: np.ndarray) -> np.ndarray:
-    """f at points z of the domain (see _cauchy_pass)."""
-    return _cauchy_pass(dmap, z)[2]
 
 
 def _phi(dmap: DiskMap, z: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# boundary_clearance: perfbench/spans.py times point location under this name
+# boundary_clearance, winding_inside, winding_number: perfbench/spans.py times
+# point location under these names
 from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
                      make_opened_slit_disk, make_polygon, make_rectangle,
                      node_spacing_scale, winding_inside, winding_number)
@@ -175,13 +176,7 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
 # ----------------------------------------------------------------------
 
 def _complement_point(curve: BoundaryCurve, beta: complex | None) -> complex:
-    if beta is None:
-        beta = complex(np.mean(curve.eta))
-    beta = complex(beta)
-    w = winding_number(curve, beta)[0]
-    if round(w) != -1:
-        raise ValueError("auxiliary point must lie in the bounded complement")
-    return beta
+    return complex(np.mean(curve.eta)) if beta is None else complex(beta)
 
 
 def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
@@ -436,8 +431,6 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
         raise ValueError("parameters must be strictly increasing in [0, 2 pi)")
     if alpha is None:
         alpha = complex(np.mean(curve.eta))
-    if not winding_inside(curve, alpha):
-        raise ValueError("alpha must be an interior point")
     dm = map_bounded(curve, alpha, "unit", cfg.solve)
     idx = np.rint(params / TWO_PI * curve.n).astype(int) % curve.n
     if len(set(idx.tolist())) != 4:

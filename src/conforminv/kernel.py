@@ -26,8 +26,8 @@ so each diagonal equals the defect of the off-diagonal trapezoidal row
 sum. On smooth rows this agrees with the analytic limit up to the
 (superalgebraically small) quadrature error, while at rows near corners
 it absorbs the interior-angle jump factor that the pointwise limit
-misses. This keeps graded corner meshes fully accurate and makes the
-assembly independent of eta''.
+misses. This keeps graded corner meshes fully accurate and needs no
+second derivative of the curve.
 
 Solving (I - N) rho = -M gamma for the real density rho and averaging
 
@@ -43,16 +43,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .curves import BoundaryCurve
+from .curves import BoundaryCurve, winding_inside
 
 __all__ = [
     "KernelContext",
     "bounded_context",
     "unbounded_context",
-    "kernel_N",
-    "kernel_M1",
     "conjugate_periodic",
-    "apply_N",
     "apply_M",
     "SolveConfig",
     "GnkSolution",
@@ -76,6 +73,12 @@ class SolveConfig:
     gmres_tol: float = 0.5e-14
     max_iters: int = 100
 
+    def __post_init__(self):
+        if not 0.0 < self.gmres_tol < np.inf:
+            raise ValueError("gmres_tol must be positive and finite")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+
 
 @dataclass
 class KernelContext:
@@ -83,7 +86,6 @@ class KernelContext:
 
     curve: BoundaryCurve
     A: np.ndarray
-    dA: np.ndarray
     alpha: complex | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -99,36 +101,21 @@ class KernelContext:
 
 
 def bounded_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
-    """Kernel data for a bounded domain: A(t) = eta(t) - alpha."""
+    """Kernel data for a bounded domain: A(t) = eta(t) - alpha, alpha interior."""
     if curve.orientation != "ccw":
         raise ValueError("bounded mode expects a counterclockwise curve")
     alpha = complex(alpha)
-    A = curve.eta - alpha
-    if np.min(np.abs(A)) == 0.0:
-        raise ValueError("alpha lies on the boundary")
-    return KernelContext(curve=curve, A=A, dA=np.asarray(curve.deta), alpha=alpha)
+    # a non-finite alpha, or one on a node, gets nan winding sums: outside
+    if not winding_inside(curve, alpha):
+        raise ValueError("base point alpha must lie inside the domain")
+    return KernelContext(curve=curve, A=curve.eta - alpha, alpha=alpha)
 
 
 def unbounded_context(curve: BoundaryCurve) -> KernelContext:
     """Kernel data for an unbounded domain: A(t) = 1."""
     if curve.orientation != "cw":
         raise ValueError("unbounded mode expects a clockwise curve")
-    n = curve.n
-    return KernelContext(
-        curve=curve,
-        A=np.ones(n, dtype=complex),
-        dA=np.zeros(n, dtype=complex),
-        alpha=None,
-    )
-
-
-def _diagonal(ctx: KernelContext) -> np.ndarray:
-    """Complex diagonal limit (1/pi)(eta''/(2 eta') - A'/A); zero at corners."""
-    cv = ctx.curve
-    d = np.zeros(cv.n, dtype=complex)
-    mask = cv.deta != 0.0
-    d[mask] = (cv.ddeta[mask] / (2.0 * cv.deta[mask]) - ctx.dA[mask] / ctx.A[mask]) / np.pi
-    return d
+    return KernelContext(curve=curve, A=np.ones(curve.n, dtype=complex), alpha=None)
 
 
 def _cot_row(n: int) -> np.ndarray:
@@ -179,42 +166,6 @@ def _assemble(ctx: KernelContext):
     return N, M1
 
 
-def kernel_N(ctx: KernelContext, i: int, j: int) -> float:
-    """Single entry of the Neumann kernel at nodes (i, j), 0-based.
-
-    The diagonal returns the smooth-point limit
-    (1/pi) Im[eta''/(2 eta') - A'/A]; the assembled matrices replace it
-    with the row-sum value, which converges to the same limit on smooth
-    rows. Off-diagonal entries match the matrices exactly.
-    """
-    cv = ctx.curve
-    if cv.deta[j] == 0.0:
-        return 0.0
-    if i == j:
-        return float(_diagonal(ctx)[i].imag)
-    val = (ctx.A[i] / ctx.A[j]) * cv.deta[j] / (cv.eta[j] - cv.eta[i])
-    return float(val.imag / np.pi)
-
-
-def kernel_M1(ctx: KernelContext, i: int, j: int) -> float:
-    """Single entry of the smooth remainder M1 at nodes (i, j), 0-based.
-
-    Same diagonal convention as kernel_N: the pointwise limit here, the
-    row-sum value in the assembled matrices.
-    """
-    cv = ctx.curve
-    if i == j:
-        if cv.deta[i] == 0.0:
-            return 0.0
-        return float(_diagonal(ctx)[i].real)
-    s, t = cv.t[i], cv.t[j]
-    cot = np.cos(0.5 * (s - t)) / np.sin(0.5 * (s - t))
-    if cv.deta[j] == 0.0:
-        return float(cot / (2.0 * np.pi))
-    val = (ctx.A[i] / ctx.A[j]) * cv.deta[j] / (cv.eta[j] - cv.eta[i])
-    return float(val.real / np.pi + cot / (2.0 * np.pi))
-
-
 def conjugate_periodic(values: np.ndarray) -> np.ndarray:
     """Periodic conjugation: multiplier -i sgn(k), zero mean and Nyquist.
 
@@ -228,12 +179,6 @@ def conjugate_periodic(values: np.ndarray) -> np.ndarray:
     mult = -1j * np.sign(k)
     mult[-1] = 0.0  # Nyquist
     return np.fft.irfft(mult * np.fft.rfft(values), n)
-
-
-def apply_N(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:
-    """Trapezoidal application of the Neumann kernel to a density."""
-    N, _ = ctx.matrices()
-    return ctx.curve.weight * (N @ np.asarray(rho, dtype=float))
 
 
 def apply_M(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:

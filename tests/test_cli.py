@@ -32,6 +32,16 @@ def square_json(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def lshape_json(tmp_path):
+    path = tmp_path / "L.json"
+    path.write_text(json.dumps(
+        {"kind": "polygon",
+         "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]],
+         "ns": 128}))
+    return str(path)
+
+
 def _stdout_float(capsys):
     return float(capsys.readouterr().out.strip().splitlines()[-1])
 
@@ -201,10 +211,21 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["quadmod"],                                          # nothing to solve
     ["quadmod", "--angles-pi=-1,0,-0.5,0.5"],             # not ccw ordered
     ["harm", "{path}", "--z", "5+5i"],                    # z outside
+    # base points outside the domain or not finite
+    ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "10"],
+    ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "nan"],
+    ["hypdist", "{L}", "--z1", "nan", "--z2", "2"],
+    # solver settings out of range
+    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--max-gmres", "0"],
+    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--gmres-tol", "nan"],
+    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--gmres-tol", "-1"],
+    # an explicit 0 reaches validation instead of the default
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--ns", "0"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--grading-p", "0"],
 ])
-def test_validation_exit_codes(argv, disk_json, square_json, capsys):
+def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, capsys):
     path = square_json if argv[0] == "harm" else disk_json
-    argv = [a.format(path=path) for a in argv]
+    argv = [a.format(path=path, L=lshape_json) for a in argv]
     rc = main(argv)
     assert rc == 2
     assert "error:" in capsys.readouterr().err

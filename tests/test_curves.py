@@ -28,7 +28,6 @@ def test_circle_nodes():
 def test_ellipse_derivative_is_spectral():
     cv = make_ellipse(1.3, 0.4, 128, "interior")
     np.testing.assert_allclose(cv.deta, spectral_derivative(cv.eta), atol=1e-12)
-    np.testing.assert_allclose(cv.ddeta, -cv.eta, atol=1e-15)
 
 
 def test_ellipse_exterior_orientation():
@@ -248,4 +247,4 @@ def test_curve_arrays_are_frozen():
 def test_curve_shape_check():
     with pytest.raises(ValueError):
         BoundaryCurve(n=4, t=np.zeros(3), eta=np.zeros(4, complex),
-                      deta=np.zeros(4, complex), ddeta=np.zeros(4, complex))
+                      deta=np.zeros(4, complex))

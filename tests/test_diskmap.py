@@ -5,7 +5,7 @@ import pytest
 
 from conforminv.curves import (make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk)
-from conforminv.diskmap import (DiskMap, Mobius, _cauchy_f, cauchy_eval,
+from conforminv.diskmap import (DiskMap, Mobius, _cauchy_pass, cauchy_eval,
                                 map_bounded, map_unbounded,
                                 mobius_three_points, slit_opening_forward)
 from conforminv.kernel import GnkSolution
@@ -96,6 +96,14 @@ def test_unbounded_base_point_free(circle):
     assert abs(h0 - h1) < 1e-12
 
 
+def test_unbounded_beta_outside_complement_raises():
+    # 3 lies in the domain itself; solving anyway would give a wrong h
+    cv = make_ellipse(1.0, 0.5, 512, "exterior")
+    for beta in (3.0, np.nan):
+        with pytest.raises(ValueError):
+            map_unbounded(cv, beta)
+
+
 # ------------------------------------------------------ cauchy evaluation
 
 def test_cauchy_rejects_outside_points(circle):
@@ -120,7 +128,7 @@ def test_cauchy_f_unbounded_analytic(circle):
     dm = DiskMap(mode="unbounded", curve=cv, base=0.0, normalization="unit",
                  f_boundary=1.0 / cv.eta, phi_boundary=cv.eta, h=0.0, c=1.0,
                  solution=sol)
-    val = _cauchy_f(dm, np.array([3.0 + 0.0j]))[0]
+    val = _cauchy_pass(dm, np.array([3.0 + 0.0j]))[2][0]
     assert abs(val - 1.0 / 3.0) < 1e-10
 
 

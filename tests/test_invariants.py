@@ -44,6 +44,14 @@ def test_distance_is_symmetric():
                - hyperbolic_distance(cv, z2, z2, z1)) < 1e-11
 
 
+def test_distance_base_point_outside_raises():
+    # a base point outside the domain (or not finite) has no disk map
+    cv = make_ellipse(1.5, 1.0, 256, "interior")
+    for alpha in (10.0, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            hyperbolic_distance(cv, alpha, 0.5, -0.5)
+
+
 def test_distance_field_matches_pointwise(circle):
     cv = circle(256, radius=2.0)
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 4)

@@ -7,11 +7,11 @@ functions whose densities are known exactly.
 import numpy as np
 import pytest
 
-from conforminv.curves import make_amoeba, make_ellipse, make_polygon
+from conforminv.curves import (make_amoeba, make_ellipse, make_polygon,
+                               spectral_derivative)
 from conforminv.kernel import (ConvergenceError, SolveConfig, apply_M,
-                               apply_N, bounded_context, conjugate_periodic,
-                               kernel_M1, kernel_N, solve_neumann_system,
-                               unbounded_context)
+                               bounded_context, conjugate_periodic,
+                               solve_neumann_system, unbounded_context)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -45,11 +45,12 @@ def test_circle_unbounded_closed_form(circle):
 
 def test_apply_N_circle_is_minus_mean(circle):
     ctx = bounded_context(circle(64), 0.0)
-    t = ctx.curve.t
-    np.testing.assert_allclose(apply_N(ctx, np.cos(t)), 0.0, atol=1e-13)
-    np.testing.assert_allclose(apply_N(ctx, np.ones(64)), -1.0, atol=1e-13)
+    t, w = ctx.curve.t, ctx.curve.weight
+    N, _ = ctx.matrices()
+    np.testing.assert_allclose(w * (N @ np.cos(t)), 0.0, atol=1e-13)
+    np.testing.assert_allclose(w * (N @ np.ones(64)), -1.0, atol=1e-13)
     rho = 2.0 + np.sin(3.0 * t)
-    np.testing.assert_allclose(apply_N(ctx, rho), -np.mean(rho), atol=1e-13)
+    np.testing.assert_allclose(w * (N @ rho), -np.mean(rho), atol=1e-13)
 
 
 def test_apply_M_circle_is_conjugation(circle):
@@ -78,14 +79,17 @@ def test_row_sums_enforced_everywhere():
 
 
 def test_rowsum_diagonal_matches_analytic_limit_on_smooth_curves():
-    # on a smooth curve the row-sum diagonal and the pointwise limit agree
-    # up to the (superalgebraically small) trapezoidal error
+    # on a smooth curve the row-sum diagonal and the pointwise limit
+    # (1/pi)(eta''/(2 eta') - A'/A), A' = eta', agree up to the
+    # (superalgebraically small) trapezoidal error
     curve = make_ellipse(1.0, 0.5, 256, "interior")
     ctx = bounded_context(curve, 0.2 + 0.1j)
     N, M1 = ctx.matrices()
+    ddeta = spectral_derivative(curve.deta)
+    limit = (ddeta / (2.0 * curve.deta) - curve.deta / ctx.A) / np.pi
     for i in (0, 17, 100, 255):
-        assert abs(N[i, i] - kernel_N(ctx, i, i)) < 1e-10
-        assert abs(M1[i, i] - kernel_M1(ctx, i, i)) < 1e-10
+        assert abs(N[i, i] - limit[i].imag) < 1e-10
+        assert abs(M1[i, i] - limit[i].real) < 1e-10
 
 
 def test_scalar_kernels_match_matrices_off_diagonal():
@@ -97,9 +101,12 @@ def test_scalar_kernels_match_matrices_off_diagonal():
         i, j = (int(v) for v in rng.integers(0, 128, size=2))
         if i == j:
             continue
-        # agreement up to the reassociation of the identical formulas
-        assert abs(N[i, j] - kernel_N(ctx, i, j)) < 1e-14
-        assert abs(M1[i, j] - kernel_M1(ctx, i, j)) < 1e-12
+        # the defining formulas; agreement up to their reassociation
+        val = (ctx.A[i] / ctx.A[j]) * curve.deta[j] / (curve.eta[j] - curve.eta[i])
+        half = 0.5 * (curve.t[i] - curve.t[j])
+        cot = np.cos(half) / np.sin(half)
+        assert abs(N[i, j] - val.imag / np.pi) < 1e-14
+        assert abs(M1[i, j] - (val.real / np.pi + cot / (2.0 * np.pi))) < 1e-12
 
 
 # -------------------------------------------------------- conjugation

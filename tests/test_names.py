@@ -1,0 +1,28 @@
+"""Every exported name, and every name the benchmark tracer wraps, resolves.
+
+The tracer in perfbench/spans.py marks a whole layer unmeasured when one of
+its target names is gone, so a deletion that leaves such a name stale or
+blank must fail here rather than in a benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import conforminv
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_package_exports_resolve():
+    assert [name for name in conforminv.__all__ if not hasattr(conforminv, name)] == []
+
+
+def test_tracer_targets_resolve():
+    assert _load_spans().Tracer().missing == []
