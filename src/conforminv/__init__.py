@@ -3,7 +3,7 @@
 Numerical conformal mapping via a boundary integral equation with the
 generalized Neumann kernel, plus the invariants built on top of it:
 hyperbolic distance, conformal radius and reduced modulus, harmonic
-measure of polygon sides, and the conformal modulus of quadrilaterals.
+measure of boundary sides, and the conformal modulus of quadrilaterals.
 """
 
 from .curves import (BoundaryCurve, make_amoeba, make_circular_arc_polygon,

@@ -5,7 +5,7 @@ Subcommands
 hypdist   hyperbolic distance between two points, or a masked grid field
 redmod    reduced modulus, with optional oracle comparison sweeps
 confrad   conformal radius
-harm      harmonic measure of a polygon side at points or on a grid
+harm      harmonic measure of a boundary side at points or on a grid
 quadmod   quadrilateral modulus via the rectangle iteration
 
 Domains are JSON files such as
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 import numpy as np
@@ -176,6 +177,8 @@ def cmd_hypdist(args) -> int:
 
 def _redmod_sweep(args, desc) -> int:
     start, stop, step = (float(v) for v in args.sweep.split(":"))
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step == 0.0:
+        raise ValueError("sweep needs finite values and a nonzero step")
     # linspace lands exactly on stop; arange can overshoot by an ulp,
     # which matters when stop sits on an oracle's domain boundary
     count = int(round((stop - start) / step)) + 1
@@ -243,8 +246,6 @@ def cmd_redmod(args) -> int:
                                       cfg=cfg)
     else:
         base = _parse_complex(args.base) if args.base else None
-        if base is None and curve.orientation == "ccw":
-            raise ValueError("bounded domain needs --base")
         m = reduced_modulus(curve, base=base, cfg=cfg)
     _print_scalar(m)
     return 0
@@ -253,29 +254,20 @@ def cmd_redmod(args) -> int:
 def cmd_confrad(args) -> int:
     curve, _ = load_domain(args.domain, args.size, args.grading_p)
     base = _parse_complex(args.base) if args.base else None
-    if base is None and curve.orientation == "ccw":
-        raise ValueError("bounded domain needs --base")
     _print_scalar(conformal_radius(curve, base=base, cfg=_solve_cfg(args)))
     return 0
 
 
 def cmd_harm(args) -> int:
-    _, desc = load_domain(args.domain, args.size, args.grading_p)
-    if desc["kind"] != "polygon":
-        raise ValueError("harm needs a polygon domain")
-    vertices = [_as_complex(v) for v in desc["vertices"]]
-    n_s = int(_setting(args.size, desc, "ns"))
-    p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
-    alpha = (_parse_complex(args.alpha) if args.alpha
-             else complex(np.mean(np.asarray(vertices, dtype=complex))))
+    curve, _ = load_domain(args.domain, args.size, args.grading_p)
+    alpha = _parse_complex(args.alpha) if args.alpha else None
     cfg = _solve_cfg(args)
 
     if args.grid:
         if not args.out:
             raise ValueError("--grid mode needs --out")
-        sides = range(1, len(vertices) + 1) if args.sum else [args.side]
-        field = harmonic_measure_field(vertices, sides, alpha, _parse_grid(args.grid),
-                                       n_s=n_s, p=p, cfg=cfg)
+        sides = range(1, len(curve.corners) + 1) if args.sum else [args.side]
+        field = harmonic_measure_field(curve, sides, alpha, _parse_grid(args.grid), cfg=cfg)
         _emit_field(field, args.out, args.format)
         return 0
 
@@ -283,11 +275,9 @@ def cmd_harm(args) -> int:
         raise ValueError("either --z or --grid is required")
     z = _parse_complex(args.z)
     if args.sum:
-        total = harmonic_measure_all(vertices, alpha, [z], n_s=n_s, p=p, cfg=cfg).sum()
-        _print_scalar(float(total))
+        _print_scalar(float(harmonic_measure_all(curve, alpha, [z], cfg=cfg).sum()))
     else:
-        value = harmonic_measure(vertices, args.side, alpha, [z], n_s=n_s, p=p, cfg=cfg)
-        _print_scalar(float(value[0]))
+        _print_scalar(float(harmonic_measure(curve, args.side, alpha, [z], cfg=cfg)[0]))
     return 0
 
 
@@ -309,7 +299,8 @@ def cmd_quadmod(args) -> int:
                       grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)),
                       eps=args.quad_eps, max_iter=args.quad_max,
                       solve=_solve_cfg(args))
-    angles = None
+    if args.oracle and not args.angles_pi:
+        raise ValueError("--oracle applies to --angles-pi mode")
     if args.angles_pi:
         angles = [np.pi * float(v) for v in args.angles_pi.split(",")]
         if len(angles) != 4:
@@ -334,8 +325,6 @@ def cmd_quadmod(args) -> int:
     print(f"r = {trace.r:.15g}")
     print(f"iterations = {trace.iterations}")
     if args.oracle:
-        if angles is None:
-            raise ValueError("--oracle applies to --angles-pi mode")
         t1, t2, t3, t4 = angles
         ref = oracle_quad_r(t2 - t1, t3 - t1, t4 - t1)
         print(f"oracle = {ref:.15g}")
@@ -387,11 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cra)
     cra.set_defaults(func=cmd_confrad)
 
-    har = subs.add_parser("harm", help="harmonic measure of a polygon side")
+    har = subs.add_parser("harm", help="harmonic measure of a boundary side")
     har.add_argument("domain")
-    har.add_argument("--side", type=int, default=1, help="1-based side index")
+    har.add_argument("--side", type=int, default=1,
+                     help="1-based side index; side k runs from corner k to corner k+1")
     har.add_argument("--z", default=None)
-    har.add_argument("--alpha", default=None)
+    har.add_argument("--alpha", default=None,
+                     help="interior base point for the map (default: the node mean if it "
+                          "lies inside, else the grid point farthest from the boundary)")
     har.add_argument("--grid", default=None, help=_GRID_HELP)
     har.add_argument("--sum", action="store_true",
                      help="sum over all sides instead of one side")

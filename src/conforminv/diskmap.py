@@ -1,17 +1,18 @@
 """Conformal maps onto the unit disk built from the integral equation.
 
-For a bounded domain with interior point alpha the map is
+The curve's orientation decides the domain: a counterclockwise curve
+bounds a bounded domain with interior base point alpha, a clockwise one
+an unbounded domain with auxiliary point beta in the bounded complement.
+Both solve the same equation with gamma = -log|eta - base| and differ
+only in the auxiliary function A of the kernel: A = eta - alpha in the
+first case, A = 1 in the second. With g = gamma + h + i rho on the
+boundary, the analytic completion f has boundary values g / A and
 
-    Phi(z) = c (z - alpha) exp((z - alpha) f(z)),
+    Phi(z) = e^{-h} (z - base) exp(A(z) f(z)),
 
-where the boundary values of f follow from the solved density via
-A f = gamma + h + i rho with gamma = -log|eta - alpha|, and c = e^{-h}
-normalizes |Phi| = 1 on the boundary ("unit" normalization; omitting c
-gives Phi'(alpha) = 1 instead, mapping onto a disk of radius e^h).
-
-For an unbounded domain (clockwise boundary, auxiliary point beta in the
-bounded complement) the map is Phi(z) = c (z - beta) exp(f(z)) with
-f(infinity) = 0, sending the domain onto the exterior of a disk.
+which sends the bounded domain onto the unit disk with alpha -> 0, and
+the unbounded one onto the exterior of the unit disk with f(infinity) = 0.
+In both cases |Phi| = 1 on the boundary and e^h is the conformal radius.
 
 Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
@@ -29,8 +30,8 @@ import numpy as np
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
 from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
                      node_spacing_scale, winding_inside, winding_number)
-from .kernel import (GnkSolution, SolveConfig, bounded_context, solve_neumann_system,
-                     unbounded_context)
+from .kernel import (GnkSolution, KernelContext, SolveConfig, bounded_context,
+                     solve_neumann_system, unbounded_context)
 
 __all__ = [
     "DiskMap",
@@ -47,31 +48,34 @@ __all__ = [
 class DiskMap:
     """A solved mapping problem: boundary data plus evaluation ingredients."""
 
-    mode: str                 # "bounded" or "unbounded"
     curve: BoundaryCurve
-    base: complex             # alpha (bounded) or beta (unbounded)
-    normalization: str        # "unit" or "deriv"
+    base: complex             # alpha (ccw curve) or beta (cw curve)
     f_boundary: np.ndarray    # boundary values of the analytic completion f
     phi_boundary: np.ndarray  # boundary correspondence Phi(eta(t))
-    h: float                  # mapping constant; e^h is the conformal radius
-    c: float                  # applied scale factor (e^{-h} or 1)
-    solution: GnkSolution     # solver diagnostics
+    solution: GnkSolution     # density, h and solver diagnostics
+
+    @property
+    def h(self) -> float:
+        """Mapping constant; e^h is the conformal radius."""
+        return self.solution.h
 
 
-def map_bounded(curve: BoundaryCurve, alpha: complex, normalization: str = "unit",
-                cfg: SolveConfig | None = None, x0: np.ndarray | None = None) -> DiskMap:
-    """Conformal map of the interior of the curve onto a disk, alpha -> 0."""
-    if normalization not in ("unit", "deriv"):
-        raise ValueError("normalization must be 'unit' or 'deriv'")
-    ctx = bounded_context(curve, alpha)
-    gamma = -np.log(np.abs(ctx.A))
+def _solve_map(ctx: KernelContext, base: complex, cfg: SolveConfig | None,
+               x0: np.ndarray | None = None) -> DiskMap:
+    dz = ctx.curve.eta - base
+    gamma = -np.log(np.abs(dz))
     sol = solve_neumann_system(ctx, gamma, cfg, x0=x0)
-    c = float(np.exp(-sol.h)) if normalization == "unit" else 1.0
-    f = (gamma + sol.h + 1j * sol.rho) / ctx.A
-    phi = c * ctx.A * np.exp(gamma + sol.h + 1j * sol.rho)
-    return DiskMap(mode="bounded", curve=curve, base=complex(alpha),
-                   normalization=normalization, f_boundary=f, phi_boundary=phi,
-                   h=sol.h, c=c, solution=sol)
+    g = gamma + sol.h + 1j * sol.rho
+    phi = np.exp(-sol.h) * dz * np.exp(g)
+    return DiskMap(curve=ctx.curve, base=base, f_boundary=g / ctx.A,
+                   phi_boundary=phi, solution=sol)
+
+
+def map_bounded(curve: BoundaryCurve, alpha: complex, cfg: SolveConfig | None = None,
+                x0: np.ndarray | None = None) -> DiskMap:
+    """Conformal map of the interior of the curve onto the unit disk, alpha -> 0."""
+    ctx = bounded_context(curve, alpha)
+    return _solve_map(ctx, ctx.alpha, cfg, x0)
 
 
 def map_unbounded(curve: BoundaryCurve, beta: complex,
@@ -86,14 +90,7 @@ def map_unbounded(curve: BoundaryCurve, beta: complex,
     beta = complex(beta)
     if np.rint(winding_number(curve, beta)[0]) != -1.0:
         raise ValueError("auxiliary point beta must lie in the bounded complement")
-    gamma = -np.log(np.abs(curve.eta - beta))
-    sol = solve_neumann_system(ctx, gamma, cfg)
-    c = float(np.exp(-sol.h))
-    f = gamma + sol.h + 1j * sol.rho
-    phi = c * (curve.eta - beta) * np.exp(f)
-    return DiskMap(mode="unbounded", curve=curve, base=beta,
-                   normalization="unit", f_boundary=f, phi_boundary=phi,
-                   h=sol.h, c=c, solution=sol)
+    return _solve_map(ctx, beta, cfg)
 
 
 def _cauchy_pass(dmap: DiskMap, z: np.ndarray):
@@ -105,14 +102,14 @@ def _cauchy_pass(dmap: DiskMap, z: np.ndarray):
     boundary sum of 1/(eta - z) vanishes in the exterior domain.
     """
     inside, rows, num, clearance = _boundary_sums(dmap.curve, z, dmap.f_boundary)
-    den = rows + 2j * np.pi if dmap.mode == "unbounded" else rows
+    den = rows + 2j * np.pi if dmap.curve.orientation == "cw" else rows
     with np.errstate(divide="ignore", invalid="ignore"):
         return inside, clearance, num / den
 
 
 def _phi(dmap: DiskMap, z: np.ndarray, f: np.ndarray) -> np.ndarray:
     dz = z - dmap.base
-    return dmap.c * dz * np.exp(dz * f if dmap.mode == "bounded" else f)
+    return np.exp(-dmap.h) * dz * np.exp(dz * f if dmap.curve.orientation == "ccw" else f)
 
 
 def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:

@@ -3,7 +3,7 @@
 * hyperbolic distance between interior points, and fields of it on grids
 * conformal radius and reduced modulus (bounded base point or infinity),
   including the slit-disk families via their opening maps
-* harmonic measure of polygon sides
+* harmonic measure of boundary sides between corners
 * conformal modulus of quadrilaterals, by an iteration that adjusts a
   rectangle's aspect ratio until its four corners match the marked points
 """
@@ -19,8 +19,8 @@ import numpy as np
 
 # boundary_clearance, winding_inside, winding_number: perfbench/spans.py times
 # point location under these names
-from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
-                     make_opened_slit_disk, make_polygon, make_rectangle,
+from .curves import (BoundaryCurve, _boundary_sums, _winding,  # noqa: F401
+                     boundary_clearance, make_opened_slit_disk, make_rectangle,
                      node_spacing_scale, winding_inside, winding_number)
 from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
                       mobius_three_points)
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_BASE_GRID = 32  # cells per side of the grid that default base points come from
 
 
 # ----------------------------------------------------------------------
@@ -132,6 +133,38 @@ def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
     return ScalarField(x, y, mask.reshape(y.size, x.size), values.reshape(y.size, x.size))
 
 
+def _base_point(curve: BoundaryCurve, base: complex | None = None) -> complex:
+    """base, or else a point with the winding number the disk map needs.
+
+    That is +1 (inside) for a counterclockwise curve and -1 (in the bounded
+    complement) for a clockwise one. The node mean is taken when it
+    qualifies; otherwise the qualifying cell centre of a coarse grid over the
+    curve's bounding box that lies farthest from the nodes.
+    """
+    if base is not None:
+        return complex(base)
+    want = 1.0 if curve.orientation == "ccw" else -1.0
+    mean = complex(np.mean(curve.eta))
+    if np.rint(_winding(_boundary_sums(curve, mean)[1]))[0] == want:
+        return mean
+    s = (np.arange(_BASE_GRID) + 0.5) / _BASE_GRID
+    x, y = curve.eta.real, curve.eta.imag
+    z = ((x.min() + s * np.ptp(x))[None, :] + 1j * (y.min() + s * np.ptp(y))[:, None]).ravel()
+    _, rows, _, clearance = _boundary_sums(curve, z)
+    ok = np.rint(_winding(rows)) == want
+    if not np.any(ok):
+        raise ValueError("found no default base point; give one")
+    return complex(z[ok][np.argmax(clearance[ok])])
+
+
+def _circle_images(dm, idx) -> np.ndarray:
+    """Phi at the boundary nodes idx, projected onto the unit circle."""
+    w = dm.phi_boundary[idx]
+    # abs, not np.abs: on a numpy scalar the two round differently, and the
+    # rectangle iteration's fourth corner has always used the scalar one
+    return w / abs(w)
+
+
 # ----------------------------------------------------------------------
 # hyperbolic distance
 # ----------------------------------------------------------------------
@@ -153,7 +186,7 @@ def hyperbolic_distance(curve: BoundaryCurve, alpha: complex, z1: complex,
 
         dist = 2 asinh( |w1 - w2| / sqrt((1 - |w1|^2)(1 - |w2|^2)) ).
     """
-    dm = map_bounded(curve, alpha, "unit", cfg)
+    dm = map_bounded(curve, alpha, cfg)
     w = cauchy_eval(dm, np.array([z1, z2], dtype=complex))
     return float(_pair_distance(w[0], w[1]))
 
@@ -166,7 +199,7 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
     Grid nodes outside the domain or within ten node spacings of the
     boundary are masked out.
     """
-    dm = map_bounded(curve, alpha, "unit", cfg)
+    dm = map_bounded(curve, alpha, cfg)
     w1 = cauchy_eval(dm, complex(z1))
     return _disk_field(dm, grid, lambda w: _pair_distance(w1, w))
 
@@ -175,8 +208,14 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
 # conformal radius and reduced modulus
 # ----------------------------------------------------------------------
 
-def _complement_point(curve: BoundaryCurve, beta: complex | None) -> complex:
-    return complex(np.mean(curve.eta)) if beta is None else complex(beta)
+def _map_at(curve: BoundaryCurve, base: complex | None, beta: complex | None,
+            cfg: SolveConfig | None):
+    """Disk map at a finite base (ccw curve) or at infinity (base None, cw curve)."""
+    if base is None and curve.orientation == "ccw":
+        raise ValueError("a bounded domain (counterclockwise curve) needs a base point")
+    if base is None:
+        return map_unbounded(curve, _base_point(curve, beta), cfg)
+    return map_bounded(curve, base, cfg)
 
 
 def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
@@ -187,24 +226,18 @@ def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
     ``base`` is an interior point of a bounded domain (counterclockwise
     curve); ``base=None`` means the point at infinity of an unbounded
     domain (clockwise curve), where ``beta`` optionally picks the
-    auxiliary point in the bounded complement (default: node centroid).
+    auxiliary point in the bounded complement (default: the node mean,
+    or a grid point if that mean is not in the complement).
     """
-    if base is None:
-        dm = map_unbounded(curve, _complement_point(curve, beta), cfg)
-    else:
-        dm = map_bounded(curve, base, "unit", cfg)
-    return float(np.exp(dm.h))
+    return float(np.exp(_map_at(curve, base, beta, cfg).h))
 
 
 def reduced_modulus(curve: BoundaryCurve, base: complex | None = None,
                     beta: complex | None = None,
                     cfg: SolveConfig | None = None) -> float:
     """Reduced modulus: h/(2 pi) at a finite base, -h/(2 pi) at infinity."""
-    if base is None:
-        dm = map_unbounded(curve, _complement_point(curve, beta), cfg)
-        return float(-dm.h / TWO_PI)
-    dm = map_bounded(curve, base, "unit", cfg)
-    return float(dm.h / TWO_PI)
+    h = _map_at(curve, base, beta, cfg).h
+    return float((h if curve.orientation == "ccw" else -h) / TWO_PI)
 
 
 _SLIT_BASE_IMAGE = {
@@ -229,7 +262,7 @@ def reduced_modulus_slit_disk(case: str, r: float, a: float = 0.0,
 
 
 # ----------------------------------------------------------------------
-# harmonic measure of polygon sides
+# harmonic measure of boundary sides
 # ----------------------------------------------------------------------
 
 def _side_measure(zet: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
@@ -247,53 +280,56 @@ def _side_measure(zet: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
     return np.angle((1j - u) / (1.0 - 1j * u)) / math.pi
 
 
-def _polygon_map(vertices, alpha, n_s, p, cfg):
-    """Disk map of the polygon and the unit-circle images of its vertices."""
-    dm = map_bounded(make_polygon(vertices, n_s, p), alpha, "unit", cfg)
-    zet = dm.phi_boundary[np.arange(len(vertices)) * n_s]
-    return dm, zet / np.abs(zet)
+def _check_sides(curve: BoundaryCurve, sides):
+    m = len(curve.corners)
+    if not sides or not all(1 <= k <= m for k in sides):
+        raise ValueError(f"side index out of range: the curve has {m} sides")
 
 
-def harmonic_measure(vertices, side: int, alpha: complex, z,
-                     n_s: int = 512, p: float = 3.0,
+def _corner_map(curve: BoundaryCurve, alpha: complex | None, cfg: SolveConfig | None):
+    """Disk map of the domain and the unit-circle images of its corners."""
+    if not curve.corners:
+        raise ValueError("harmonic measure of sides needs a domain with corners")
+    dm = map_bounded(curve, _base_point(curve, alpha), cfg)
+    return dm, _circle_images(dm, list(curve.corners))
+
+
+def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z,
                      cfg: SolveConfig | None = None) -> np.ndarray:
-    """Harmonic measure of one polygon side at interior points z.
+    """Harmonic measure of one side of a cornered domain at interior points z.
 
-    ``side`` is 1-based: side k joins vertex k to vertex k+1 (cyclic).
-    The polygon is mapped onto the disk; the side becomes a boundary arc
-    whose harmonic measure at the image point has a closed form after a
-    Moebius transform pinning the arc at (-i, 1, i).
+    ``side`` is 1-based: side k runs from corner k to corner k+1 (cyclic),
+    so for a polygon from vertex k to vertex k+1. The domain is mapped onto
+    the disk with base point ``alpha`` (None picks one); the side becomes a
+    boundary arc whose harmonic measure at the image point has a closed
+    form after a Moebius transform pinning the arc at (-i, 1, i).
     """
-    if not 1 <= side <= len(vertices):
-        raise ValueError("side index out of range")
-    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    _check_sides(curve, [side])
+    dm, zet = _corner_map(curve, alpha, cfg)
     out = _side_measure(zet, side, cauchy_eval(dm, np.atleast_1d(z)))
     return out if np.asarray(z).ndim else float(out[0])
 
 
-def harmonic_measure_all(vertices, alpha: complex, z, n_s: int = 512,
-                         p: float = 3.0,
+def harmonic_measure_all(curve: BoundaryCurve, alpha: complex | None, z,
                          cfg: SolveConfig | None = None) -> np.ndarray:
     """Harmonic measures of every side at points z, shape (m, len(z)).
 
     One integral-equation solve is shared across all sides; the columns
     sum to 1 up to rounding because the side arcs partition the circle.
     """
-    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    dm, zet = _corner_map(curve, alpha, cfg)
     w = cauchy_eval(dm, np.atleast_1d(z))
     return np.vstack([_side_measure(zet, k, w) for k in range(1, zet.size + 1)])
 
 
-def harmonic_measure_field(vertices, sides, alpha: complex, grid: GridSpec,
-                           n_s: int = 512, p: float = 3.0,
-                           cfg: SolveConfig | None = None) -> ScalarField:
+def harmonic_measure_field(curve: BoundaryCurve, sides, alpha: complex | None,
+                           grid: GridSpec, cfg: SolveConfig | None = None) -> ScalarField:
     """Harmonic measure of the union of the given (1-based) sides on a grid.
 
     Nodes are masked as in hyperbolic_distance_field.
     """
-    if not sides or not all(1 <= k <= len(vertices) for k in sides):
-        raise ValueError("side index out of range")
-    dm, zet = _polygon_map(vertices, alpha, n_s, p, cfg)
+    _check_sides(curve, sides)
+    dm, zet = _corner_map(curve, alpha, cfg)
     return _disk_field(dm, grid, lambda w: np.sum([_side_measure(zet, k, w) for k in sides], 0))
 
 
@@ -320,7 +356,6 @@ class QuadModulusTrace:
     converged: bool
     iterations: int
     r_iterates: list
-    z4_images: list
     deltas: list
     factors: list
 
@@ -358,10 +393,8 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
     r = 1.0
     delta_prev = 1.0  # delta_{k-1} entering the current iteration
     r_iterates = [r]
-    z4_images: list = []
     deltas: list = []
     factors: list = []
-    args: list = []
     converged = False
     iterations = 0
     rho_prev = None
@@ -369,25 +402,18 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
         iterations = k
         curve = make_rectangle(r, cfg.n_s, cfg.grading_p)
         alpha = 0.5 * (1.0 + 1j * r)
-        dm = map_bounded(curve, alpha, "unit", cfg.solve, x0=rho_prev)
+        dm = map_bounded(curve, alpha, cfg.solve, x0=rho_prev)
         rho_prev = dm.solution.rho
-        ns = cfg.n_s
-        zeta = dm.phi_boundary[[0, ns, 2 * ns]]
-        zeta = zeta / np.abs(zeta)
-        w4 = dm.phi_boundary[3 * ns]
-        w4 = w4 / abs(w4)
-        psi = mobius_three_points(tuple(zeta), (z1, z2, z3))
-        z4k = complex(psi(w4))
-        z4_images.append(z4k)
-        arg = math.atan2((z4k / z4).imag, (z4k / z4).real)
-        args.append(arg)
-        delta_step = arg / TWO_PI
+        corners = list(curve.corners)
+        psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))
+        z4k = complex(psi(_circle_images(dm, corners[3])))
+        delta_step = math.atan2((z4k / z4).imag, (z4k / z4).real) / TWO_PI
         deltas.append(delta_step)
         # step-size control once three angular mismatches are available:
         # same-sign history doubles the factor, alternating halves it
         if k >= 3:
-            p1 = args[-3] * args[-2]
-            p2 = args[-2] * args[-1]
+            p1 = deltas[-3] * deltas[-2]
+            p2 = deltas[-2] * deltas[-1]
             if p1 > 0.0 and p2 > 0.0:
                 delta_prev = 2.0 * delta_prev
             elif p1 < 0.0 and p2 < 0.0:
@@ -409,8 +435,7 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
             converged = True
             break
     return QuadModulusTrace(r=r, converged=converged, iterations=iterations,
-                            r_iterates=r_iterates, z4_images=z4_images,
-                            deltas=deltas, factors=factors)
+                            r_iterates=r_iterates, deltas=deltas, factors=factors)
 
 
 def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = None,
@@ -419,8 +444,9 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
 
     ``params`` are four strictly increasing parameter values in [0, 2 pi)
     marking boundary points; each is taken at the nearest discretization
-    node. The domain is mapped onto the disk and the marked points' disk
-    images feed the rectangle iteration.
+    node. The domain is mapped onto the disk with base point ``alpha``
+    (None picks one) and the marked points' disk images feed the rectangle
+    iteration.
     """
     if cfg is None:
         cfg = QuadConfig()
@@ -429,12 +455,8 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
         raise ValueError("need exactly four parameter values")
     if np.any(params < 0.0) or np.any(params >= TWO_PI) or np.any(np.diff(params) <= 0.0):
         raise ValueError("parameters must be strictly increasing in [0, 2 pi)")
-    if alpha is None:
-        alpha = complex(np.mean(curve.eta))
-    dm = map_bounded(curve, alpha, "unit", cfg.solve)
+    dm = map_bounded(curve, _base_point(curve, alpha), cfg.solve)
     idx = np.rint(params / TWO_PI * curve.n).astype(int) % curve.n
     if len(set(idx.tolist())) != 4:
         raise ValueError("marked points collapse onto the same node")
-    w = dm.phi_boundary[idx]
-    w = w / np.abs(w)
-    return quad_modulus(w[0], w[1], w[2], w[3], cfg)
+    return quad_modulus(*_circle_images(dm, idx), cfg)

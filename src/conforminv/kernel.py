@@ -193,7 +193,6 @@ class GnkSolution:
     """Density rho, the mapping constant h, and solver diagnostics."""
 
     rho: np.ndarray
-    h_pointwise: np.ndarray
     h: float
     h_spread: float
     gmres_iters: int
@@ -243,5 +242,5 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h_pw = 0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma))
     h = float(np.mean(h_pw))
     spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
-    return GnkSolution(rho=rho, h_pointwise=h_pw, h=h, h_spread=spread,
+    return GnkSolution(rho=rho, h=h, h_spread=spread,
                        gmres_iters=iters, residual=residual)

@@ -211,7 +211,7 @@ def test_property_suite():
         alpha = complex(np.mean(np.asarray(vertices, dtype=complex)))
         assert winding_inside(curve, [alpha])[0]
         z = _interior_points(curve, rng, 100)
-        totals = harmonic_measure_all(vertices, alpha, z).sum(axis=0)
+        totals = harmonic_measure_all(curve, alpha, z).sum(axis=0)
         worst_sum = max(worst_sum, float(np.max(np.abs(totals - 1.0))))
     parts.append(("partition of unity", worst_sum, 1e-8))
 

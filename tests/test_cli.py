@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conforminv.cli import main
+from conforminv.curves import make_polygon
 from conforminv.exact import oracle_reduced_modulus
 from conforminv.invariants import harmonic_measure
 
@@ -39,6 +40,14 @@ def lshape_json(tmp_path):
         {"kind": "polygon",
          "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]],
          "ns": 128}))
+    return str(path)
+
+
+@pytest.fixture
+def ellipse_json(tmp_path):
+    path = tmp_path / "E.json"
+    path.write_text(json.dumps(
+        {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "exterior", "n": 256}))
     return str(path)
 
 
@@ -93,7 +102,7 @@ def test_harm_grid_matches_pointwise(square_json, tmp_path):
     inside = [r for r in rows if r[2] == "1"]
     assert 0 < len(inside) < len(rows)
     z = [complex(float(x), float(y)) for x, y, _, _ in inside]
-    want = harmonic_measure([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 2, 0.0, z, n_s=128)
+    want = harmonic_measure(make_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 128), 2, 0.0, z)
     np.testing.assert_allclose([float(r[3]) for r in inside], want, rtol=0, atol=1e-12)
 
     assert main(["harm", square_json, "--sum", grid, "--out", str(harm_out)]) == 0
@@ -165,6 +174,15 @@ def test_harm_center_and_sum(square_json, capsys):
     assert abs(_stdout_float(capsys) - 1.0) < 1e-8
 
 
+def test_harm_default_base_on_l_shape(lshape_json, capsys):
+    # the L's vertex and node means lie outside it; the default base must not
+    argv = ["harm", lshape_json, "--ns", "512", "--side", "2", "--z", "0.5+2i"]
+    assert main(argv) == 0
+    default = _stdout_float(capsys)
+    assert main(argv + ["--alpha", "2i"]) == 0
+    assert abs(default - _stdout_float(capsys)) < 1e-8
+
+
 def test_quadmod_angles_with_oracle_and_trace(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     rc = main(["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--ns", "128",
@@ -192,6 +210,16 @@ def test_quadmod_points_mode(capsys):
     assert abs(r - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("mode", [["--points", "1,i,-1,-i"],
+                                  ["{square}", "--params", "0,1.5,3,4.5"]])
+def test_quadmod_oracle_rejected_before_solving(mode, square_json, capsys):
+    argv = ["quadmod", "--ns", "64", "--oracle"] + [a.format(square=square_json) for a in mode]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--oracle applies to --angles-pi mode" in captured.err
+
+
 def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     rc = main(["quadmod", "--angles-pi=-0.5,-0.1,0.3,0.8", "--ns", "64",
@@ -211,6 +239,10 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["quadmod"],                                          # nothing to solve
     ["quadmod", "--angles-pi=-1,0,-0.5,0.5"],             # not ccw ordered
     ["harm", "{path}", "--z", "5+5i"],                    # z outside
+    # a sweep step that is zero or not finite
+    ["redmod", "{E}", "--sweep", "0.1:1:0"],
+    ["redmod", "{E}", "--sweep", "0.1:1:nan"],
+    ["redmod", "{E}", "--sweep", "0.1:inf:0.1"],
     # base points outside the domain or not finite
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "10"],
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "nan"],
@@ -223,9 +255,10 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--ns", "0"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--grading-p", "0"],
 ])
-def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, capsys):
+def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
+                               capsys):
     path = square_json if argv[0] == "harm" else disk_json
-    argv = [a.format(path=path, L=lshape_json) for a in argv]
+    argv = [a.format(path=path, L=lshape_json, E=ellipse_json) for a in argv]
     rc = main(argv)
     assert rc == 2
     assert "error:" in capsys.readouterr().err

@@ -15,26 +15,17 @@ from conforminv.kernel import GnkSolution
 
 def test_identity_scaled_disk(circle):
     cv = circle(128, radius=2.0)
-    dm = map_bounded(cv, 0.0, "unit")
+    dm = map_bounded(cv, 0.0)
     np.testing.assert_allclose(dm.phi_boundary, cv.eta / 2.0, atol=1e-13)
     assert abs(dm.h - np.log(2.0)) < 1e-13
     assert abs(cauchy_eval(dm, 1.0 + 0.0j) - 0.5) < 1e-12
-
-
-def test_derivative_normalization(circle):
-    # with Phi'(alpha) = 1 the image of the radius-2 disk is the radius-2 disk
-    cv = circle(128, radius=2.0)
-    dm = map_bounded(cv, 0.0, "deriv")
-    np.testing.assert_allclose(dm.phi_boundary, cv.eta, atol=1e-12)
-    assert abs(np.exp(dm.h) - 2.0) < 1e-12
-    assert dm.c == 1.0
 
 
 def test_offcenter_disk_is_mobius():
     # disk automorphism: center c, radius R, base alpha
     c, R, alpha = 1.0 + 1.0j, 2.0, 1.5 + 0.4j
     cv = make_circular_arc_polygon([(c, R, 0.0, 2.0 * np.pi)], 256)
-    dm = map_bounded(cv, alpha, "unit")
+    dm = map_bounded(cv, alpha)
     a = (alpha - c) / R
 
     def truth(z):
@@ -61,7 +52,7 @@ def _g1_truth(zeta, r):
 @pytest.mark.parametrize("r", [0.25, 0.5])
 def test_opened_g1_matches_exact_map(r):
     curve = make_opened_slit_disk("G1", r, n_s=512)
-    dm = map_bounded(curve, 2.0 * r, "unit")
+    dm = map_bounded(curve, 2.0 * r)
     assert abs(dm.h - np.log(4.0 * r * (1.0 - r) / (1.0 + r))) < 1e-10
     np.testing.assert_allclose(dm.phi_boundary, _g1_truth(curve.eta, r),
                                atol=1e-8)
@@ -123,10 +114,8 @@ def test_cauchy_f_unbounded_analytic(circle):
     # boundary samples of 1/z reproduce interior values of 1/z; checks the
     # residue-at-infinity constant in the denominator
     cv = circle(256, kind="exterior")
-    sol = GnkSolution(rho=np.zeros(256), h_pointwise=np.zeros(256), h=0.0,
-                      h_spread=0.0, gmres_iters=0, residual=0.0)
-    dm = DiskMap(mode="unbounded", curve=cv, base=0.0, normalization="unit",
-                 f_boundary=1.0 / cv.eta, phi_boundary=cv.eta, h=0.0, c=1.0,
+    sol = GnkSolution(rho=np.zeros(256), h=0.0, h_spread=0.0, gmres_iters=0, residual=0.0)
+    dm = DiskMap(curve=cv, base=0.0, f_boundary=1.0 / cv.eta, phi_boundary=cv.eta,
                  solution=sol)
     val = _cauchy_pass(dm, np.array([3.0 + 0.0j]))[2][0]
     assert abs(val - 1.0 / 3.0) < 1e-10

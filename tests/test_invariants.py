@@ -115,6 +115,12 @@ def test_reduced_modulus_beta_outside_complement_raises():
         reduced_modulus(cv, beta=5.0 + 0.0j)
 
 
+def test_bounded_domain_needs_base_point(circle):
+    for invariant in (conformal_radius, reduced_modulus):
+        with pytest.raises(ValueError, match="needs a base point"):
+            invariant(circle(64))
+
+
 @pytest.mark.parametrize("case,r,a", [("G1", 0.3, 0.0), ("G2", 0.5, 0.0),
                                       ("G3", 0.7, 0.25)])
 def test_slit_disk_reduced_modulus(case, r, a):
@@ -125,37 +131,37 @@ def test_slit_disk_reduced_modulus(case, r, a):
 # ------------------------------------------------------ harmonic measure
 
 def test_square_sides_have_equal_measure_at_center():
-    square = [1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j]
+    square = make_polygon([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j], 128)
     for side in (1, 2, 3, 4):
-        w = harmonic_measure(square, side, 0.0, [0.0 + 0.0j], n_s=128)
+        w = harmonic_measure(square, side, 0.0, [0.0 + 0.0j])
         assert abs(w[0] - 0.25) < 1e-10
 
 
 def test_equilateral_triangle_at_centroid():
-    tri = list(np.exp(2j * np.pi * np.arange(3) / 3.0))
-    all_sides = harmonic_measure_all(tri, 0.0, [0.0 + 0.0j], n_s=128)
+    tri = make_polygon(list(np.exp(2j * np.pi * np.arange(3) / 3.0)), 128)
+    all_sides = harmonic_measure_all(tri, 0.0, [0.0 + 0.0j])
     np.testing.assert_allclose(all_sides[:, 0], 1.0 / 3.0, atol=1e-10)
 
 
 def test_square_reflection_symmetry():
-    square = [1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j]
+    square = make_polygon([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j], 128)
     z = [0.3 + 0.0j]
-    top = harmonic_measure(square, 1, 0.0, z, n_s=128)[0]
-    bottom = harmonic_measure(square, 3, 0.0, z, n_s=128)[0]
-    left = harmonic_measure(square, 2, 0.0, z, n_s=128)[0]
-    right = harmonic_measure(square, 4, 0.0, z, n_s=128)[0]
+    top = harmonic_measure(square, 1, 0.0, z)[0]
+    bottom = harmonic_measure(square, 3, 0.0, z)[0]
+    left = harmonic_measure(square, 2, 0.0, z)[0]
+    right = harmonic_measure(square, 4, 0.0, z)[0]
     assert abs(top - bottom) < 1e-10  # z is on the symmetry axis
     assert right > left  # z is closer to the right side
-    total = harmonic_measure_all(square, 0.0, z, n_s=128).sum()
+    total = harmonic_measure_all(square, 0.0, z).sum()
     assert abs(total - 1.0) < 1e-10
 
 
 def test_harmonic_measure_side_validation():
-    square = [1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j]
+    square = make_polygon([1.0 + 1.0j, -1.0 + 1.0j, -1.0 - 1.0j, 1.0 - 1.0j], 64)
     with pytest.raises(ValueError):
-        harmonic_measure(square, 0, 0.0, [0.0 + 0.0j], n_s=64)
+        harmonic_measure(square, 0, 0.0, [0.0 + 0.0j])
     with pytest.raises(ValueError):
-        harmonic_measure(square, 5, 0.0, [0.0 + 0.0j], n_s=64)
+        harmonic_measure(square, 5, 0.0, [0.0 + 0.0j])
 
 
 # --------------------------------------------------- grids and field I/O

@@ -1,11 +1,15 @@
 """Every exported name, and every name the benchmark tracer wraps, resolves.
 
+Exported names are those in the package's and each submodule's ``__all__``.
+
 The tracer in perfbench/spans.py marks a whole layer unmeasured when one of
 its target names is gone, so a deletion that leaves such a name stale or
 blank must fail here rather than in a benchmark run.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 import conforminv
@@ -22,6 +26,13 @@ def _load_spans():
 
 def test_package_exports_resolve():
     assert [name for name in conforminv.__all__ if not hasattr(conforminv, name)] == []
+
+
+def test_submodule_exports_resolve():
+    for info in pkgutil.iter_modules(conforminv.__path__):
+        module = importlib.import_module(f"conforminv.{info.name}")
+        names = getattr(module, "__all__", [])
+        assert [name for name in names if not hasattr(module, name)] == [], info.name
 
 
 def test_tracer_targets_resolve():

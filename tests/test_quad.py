@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conforminv import (QuadConfig, make_rectangle, oracle_quad_r,
+from conforminv import (QuadConfig, make_polygon, make_rectangle, oracle_quad_r,
                         quad_modulus, quad_modulus_general)
 
 PI = np.pi
@@ -56,6 +56,18 @@ def test_general_domain_rectangle():
                               cfg=QuadConfig(n_s=256))
     assert tr.converged
     assert abs(tr.r - 1.5) < 1e-10
+
+
+def test_general_domain_default_base_on_l_shape():
+    # the node mean of the L lies outside it; the default base comes from the
+    # grid instead, and the modulus does not depend on the base
+    curve = make_polygon([6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j], 128)
+    params = [0.0, 1.5, 3.0, 4.5]
+    cfg = QuadConfig(n_s=64)
+    default = quad_modulus_general(curve, params, cfg=cfg)
+    pinned = quad_modulus_general(curve, params, alpha=2j, cfg=cfg)
+    assert default.converged and pinned.converged
+    assert abs(default.r - pinned.r) < 1e-8
 
 
 def test_marked_point_validation():
