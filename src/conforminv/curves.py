@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+# Pairs (target x node) per block of the block-tiled O(n m) passes, here and
+# in kernel assembly: 1 MB of complex temporaries per block, which stays in
+# cache. Sums run along rows, so results do not depend on the block size.
+_BLOCK_PAIRS = 65_536
 
 
 @dataclass(frozen=True)
@@ -424,7 +428,7 @@ def _boundary_sums(curve: BoundaryCurve, z, values=None):
     rows = np.empty(z.shape, dtype=complex)
     cauchy = None if values is None else np.empty(z.shape, dtype=complex)
     clear = np.empty(z.shape, dtype=float)
-    block = max(1, 2_000_000 // curve.n)  # complex temporaries of 32 MB
+    block = max(1, _BLOCK_PAIRS // curve.n)
     for start in range(0, z.size, block):
         sl = slice(start, start + block)
         diff = curve.eta[None, :] - z[sl, None]

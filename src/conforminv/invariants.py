@@ -63,6 +63,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.xmin, self.xmax, self.ymin, self.ymax])):
+            raise ValueError("grid extents must be finite")
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("grid extents must be nonempty")
         if self.nx < 2 or self.ny < 2:
@@ -346,6 +348,12 @@ class QuadConfig:
     eps: float = 0.5e-13
     max_iter: int = 50
     solve: SolveConfig = field(default_factory=SolveConfig)
+
+    def __post_init__(self):
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass

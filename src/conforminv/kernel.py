@@ -41,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .curves import BoundaryCurve, winding_inside
+from .curves import _BLOCK_PAIRS, BoundaryCurve, winding_inside
 
 __all__ = [
     "KernelContext",
@@ -120,7 +121,7 @@ def unbounded_context(curve: BoundaryCurve) -> KernelContext:
 
 def _cot_row(n: int) -> np.ndarray:
     # cot(pi m / n) for m = 0..n-1 (index 0 unused; cot has period pi so
-    # negative offsets reduce to the same table)
+    # negative offsets reduce to the same table, read through _circulant)
     m = np.arange(n, dtype=float)
     with np.errstate(divide="ignore"):
         c = 1.0 / np.tan(np.pi * m / n)
@@ -130,8 +131,21 @@ def _cot_row(n: int) -> np.ndarray:
     return c
 
 
+def _circulant(row: np.ndarray) -> np.ndarray:
+    """Read-only (n, n) view C[i, j] = row[(i - j) % n] on 2n stored values."""
+    n = row.shape[0]
+    doubled = np.concatenate((row, row))[::-1]
+    return sliding_window_view(doubled, n)[::-1][1:]
+
+
 def _assemble(ctx: KernelContext):
-    """Dense (N, M1) matrices, built in row blocks to bound peak memory.
+    """Dense (N, M1) matrices, built in cache-sized row blocks.
+
+    A block holds about curves._BLOCK_PAIRS entries, so the temporaries
+    stay in cache and peak memory is N and M1 plus a few MB. The
+    cotangent correction is added from a circulant view of one table row,
+    with no per-block index array or gather. Each entry and row sum is
+    formed in the same order whatever the block size.
 
     Diagonals come from the row-sum rule: with weight w = 2 pi / n,
     w * sum_j N[i, j] = -1 and w * sum_j M1[i, j] = 0 exactly.
@@ -142,27 +156,25 @@ def _assemble(ctx: KernelContext):
     col = np.zeros(n, dtype=complex)
     nz = cv.deta != 0.0  # corner columns stay exactly zero
     col[nz] = cv.deta[nz] / (ctx.A[nz] * np.pi)
-    cot = _cot_row(n) / (2.0 * np.pi)
-    idx = np.arange(n)
+    cot = _circulant(_cot_row(n) / (2.0 * np.pi))
     N = np.empty((n, n), dtype=float)
     M1 = np.empty((n, n), dtype=float)
     inv_w = n / (2.0 * np.pi)
-    block = max(1, min(n, 8_000_000 // n))
+    block = max(1, min(n, _BLOCK_PAIRS // n))
     for r0 in range(0, n, block):
-        r1 = min(n, r0 + block)
-        rows = slice(r0, r1)
+        rows = slice(r0, min(n, r0 + block))
+        Nb, Mb = N[rows], M1[rows]
+        diag = (np.arange(Nb.shape[0]), np.arange(r0, rows.stop))
         diff = eta[None, :] - eta[rows, None]
-        local = np.arange(r0, r1) - r0
-        diff[local, idx[rows]] = 1.0  # placeholder, diagonal set below
+        diff[diag] = 1.0  # placeholder, diagonal set below
         kblock = (ctx.A[rows, None] / diff) * col[None, :]
-        N[rows] = kblock.imag
-        M1[rows] = kblock.real
-        # cotangent correction, a circulant in the node index difference
-        M1[rows] += cot[(idx[rows, None] - idx[None, :]) % n]
-        N[rows][local, idx[rows]] = 0.0
-        M1[rows][local, idx[rows]] = 0.0
-        N[rows][local, idx[rows]] = -inv_w - N[rows].sum(axis=1)
-        M1[rows][local, idx[rows]] = -M1[rows].sum(axis=1)
+        Nb[...] = kblock.imag
+        Mb[...] = kblock.real
+        Mb += cot[rows]
+        Nb[diag] = 0.0
+        Mb[diag] = 0.0
+        Nb[diag] = -inv_w - Nb.sum(axis=1)
+        Mb[diag] = -Mb.sum(axis=1)
     return N, M1
 
 

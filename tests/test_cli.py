@@ -254,14 +254,23 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     # an explicit 0 reaches validation instead of the default
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--ns", "0"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--grading-p", "0"],
+    # iteration settings out of range
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "0"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "nan"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "-1"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-max", "0"],
+    # a grid extent that is not finite
+    ["hypdist", "{L}", "--z1", "2i", "--grid=-1,inf,-1,4,5,5", "--out", "{out}"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
-                               capsys):
+                               tmp_path, capsys):
     path = square_json if argv[0] == "harm" else disk_json
-    argv = [a.format(path=path, L=lshape_json, E=ellipse_json) for a in argv]
+    out = tmp_path / "f.csv"
+    argv = [a.format(path=path, L=lshape_json, E=ellipse_json, out=out) for a in argv]
     rc = main(argv)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_domain_kind(tmp_path, capsys):

@@ -171,6 +171,11 @@ def test_gridspec_validation():
         GridSpec(0.0, 0.0, 0.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
         GridSpec(0.0, 1.0, 0.0, 1.0, 1, 4)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            GridSpec(-1.0, bad, -1.0, 4.0, 5, 5)
+        with pytest.raises(ValueError):
+            GridSpec(-bad, 1.0, -1.0, 4.0, 5, 5)
     g = GridSpec(0.0, 1.0, 0.0, 2.0, 3, 5)
     assert g.mesh().shape == (5, 3)
     x, y = g.axes()

@@ -4,13 +4,16 @@ The strongest checks are closed forms on circles and analytic test
 functions whose densities are known exactly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conforminv import kernel
 from conforminv.curves import (make_amoeba, make_ellipse, make_polygon,
                                spectral_derivative)
-from conforminv.kernel import (ConvergenceError, SolveConfig, apply_M,
-                               bounded_context, conjugate_periodic,
+from conforminv.kernel import (ConvergenceError, SolveConfig, _assemble, _circulant,
+                               _cot_row, apply_M, bounded_context, conjugate_periodic,
                                solve_neumann_system, unbounded_context)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
@@ -107,6 +110,52 @@ def test_scalar_kernels_match_matrices_off_diagonal():
         cot = np.cos(half) / np.sin(half)
         assert abs(N[i, j] - val.imag / np.pi) < 1e-14
         assert abs(M1[i, j] - (val.real / np.pi + cot / (2.0 * np.pi))) < 1e-12
+
+
+# ------------------------------------------------------------- assembly
+
+@pytest.mark.parametrize("n", [8, 10, 1024])
+def test_circulant_view_equals_gather(n):
+    row = _cot_row(n) / (2.0 * np.pi)
+    view = _circulant(row)
+    i, j = np.indices((n, n))
+    assert np.array_equal(view, row[(i - j) % n])
+    assert not view.flags.writeable
+
+
+L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bounded_context(make_ellipse(1.0, 0.5, 256), 0.1 + 0.05j),
+    lambda: bounded_context(make_polygon(L_VERTICES, 64), 2j),  # zero corner columns
+    lambda: unbounded_context(make_ellipse(1.0, 0.5, 256, "exterior")),
+], ids=["ellipse-interior", "L", "ellipse-exterior"])
+def test_assembly_bits_independent_of_block_size(build, monkeypatch):
+    # every entry and row sum keeps its order whatever the row block:
+    # one row, a row count that does not divide n, and all n rows
+    ctx = build()
+    n = ctx.n
+    assert n % 7 != 0
+    results = []
+    for rows in (1, 7, n):
+        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", rows * n)
+        results.append(_assemble(ctx))
+    for N, M1 in results[1:]:
+        assert np.array_equal(N, results[0][0])
+        assert np.array_equal(M1, results[0][1])
+
+
+def test_assembly_peak_memory_is_the_matrices():
+    # temporaries are a few cache-sized blocks, not n^2-scale arrays
+    ctx = unbounded_context(make_ellipse(1.0, 0.5, 2048, "exterior"))
+    tracemalloc.start()
+    try:
+        N, M1 = _assemble(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= N.nbytes + M1.nbytes + 16 * 2**20
 
 
 # -------------------------------------------------------- conjugation
