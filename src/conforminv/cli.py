@@ -43,6 +43,7 @@ from .curves import (
 )
 from .exact import oracle_quad_r, oracle_reduced_modulus
 from .invariants import (
+    _SLIT_BASE_IMAGE,
     GridSpec,
     QuadConfig,
     conformal_radius,
@@ -54,7 +55,6 @@ from .invariants import (
     quad_modulus,
     quad_modulus_general,
     reduced_modulus,
-    reduced_modulus_slit_disk,
 )
 from .kernel import ConvergenceError, SolveConfig
 
@@ -102,14 +102,22 @@ def _setting(value, desc: dict, key: str, default=None):
     return value
 
 
+def _read_domain(path: str) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def load_domain(path: str, size: int | None = None, grading_p: float | None = None):
     """Build the BoundaryCurve described by a JSON domain file.
 
     `size` overrides the file's n (smooth kinds) or ns (panelled kinds).
     Returns (curve, description dict) so callers can inspect family parameters.
     """
-    with open(path) as fh:
-        desc = json.load(fh)
+    desc = _read_domain(path)
+    return _build_domain(desc, size, grading_p), desc
+
+
+def _build_domain(desc: dict, size: int | None, grading_p: float | None):
     kind = desc.get("kind")
     p = float(_setting(grading_p, desc, "grading_p", 3.0))
 
@@ -118,22 +126,22 @@ def load_domain(path: str, size: int | None = None, grading_p: float | None = No
 
     if kind == "polygon":
         vertices = [_as_complex(v) for v in desc["vertices"]]
-        return make_polygon(vertices, count("ns"), p=p), desc
+        return make_polygon(vertices, count("ns"), p=p)
     if kind == "ellipse":
         side = desc.get("side", "interior")
-        return make_ellipse(float(desc["a"]), float(desc["b"]), count("n"), side), desc
+        return make_ellipse(float(desc["a"]), float(desc["b"]), count("n"), side)
     if kind == "amoeba":
-        return make_amoeba(count("n")), desc
+        return make_amoeba(count("n"))
     if kind == "arcs":
         arcs = [(_as_complex(c), float(r), float(t0), float(t1))
                 for c, r, t0, t1 in desc["arcs"]]
-        return make_circular_arc_polygon(arcs, count("ns"), p=p), desc
+        return make_circular_arc_polygon(arcs, count("ns"), p=p)
     if kind == "rectangle":
-        return make_rectangle(float(desc["r"]), count("ns"), p=p), desc
+        return make_rectangle(float(desc["r"]), count("ns"), p=p)
     if kind == "opened_slit":
         return make_opened_slit_disk(desc["case"], float(desc["r"]),
                                      a=float(desc.get("a", 0.0)),
-                                     n_s=count("ns", 512), p=p), desc
+                                     n_s=count("ns", 512), p=p)
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -192,9 +200,7 @@ def _redmod_sweep(args, desc) -> int:
             a = float(desc.get("a", 0.0))
             if r <= a:
                 continue
-            ns = int(_setting(args.size, desc, "ns", 512))
-            p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
-            m = reduced_modulus_slit_disk(desc["case"], r, a=a, n_s=ns, p=p, cfg=cfg)
+            m = _redmod(args, dict(desc, r=r), cfg)
             exact = oracle_reduced_modulus(desc["case"], r, a)
         elif kind == "ellipse" and desc.get("side", "interior") == "exterior":
             curve = make_ellipse(1.0, r, int(_setting(args.size, desc, "n")), "exterior")
@@ -229,25 +235,25 @@ def _redmod_ngon_sweep(args) -> int:
     return 0
 
 
+def _redmod(args, desc: dict, cfg: SolveConfig) -> float:
+    """Reduced modulus of a domain description; an opened slit disk uses its family's base."""
+    curve = _build_domain(desc, args.size, args.grading_p)
+    if desc["kind"] == "opened_slit":
+        base = _SLIT_BASE_IMAGE[desc["case"]](float(desc["r"]), float(desc.get("a", 0.0)))
+    else:
+        base = _parse_complex(args.base) if args.base else None
+    return reduced_modulus(curve, base=base, cfg=cfg)
+
+
 def cmd_redmod(args) -> int:
     if args.ngon_sweep:
         return _redmod_ngon_sweep(args)
+    if not args.domain:
+        raise ValueError("redmod needs DOMAIN unless --ngon-sweep is given")
+    desc = _read_domain(args.domain)
     if args.sweep:
-        with open(args.domain) as fh:
-            desc = json.load(fh)
         return _redmod_sweep(args, desc)
-    curve, desc = load_domain(args.domain, args.size, args.grading_p)
-    cfg = _solve_cfg(args)
-    if desc["kind"] == "opened_slit":
-        m = reduced_modulus_slit_disk(desc["case"], float(desc["r"]),
-                                      a=float(desc.get("a", 0.0)),
-                                      n_s=int(_setting(args.size, desc, "ns", 512)),
-                                      p=float(_setting(args.grading_p, desc, "grading_p", 3.0)),
-                                      cfg=cfg)
-    else:
-        base = _parse_complex(args.base) if args.base else None
-        m = reduced_modulus(curve, base=base, cfg=cfg)
-    _print_scalar(m)
+    _print_scalar(_redmod(args, desc, _solve_cfg(args)))
     return 0
 
 

@@ -1,14 +1,15 @@
 """Discretized boundary curves of simply connected planar domains.
 
 A curve is sampled at n uniformly spaced parameter values on [0, 2 pi).
-Piecewise-smooth boundaries (polygons, arc chains, opened slit disks) use
-a graded parametrization on each piece so that the parametrization's
-derivative vanishes at the corner nodes; corner nodes then carry zero
-quadrature weight in the integral operators downstream.
+A cornered boundary (polygon, arc chain, opened slit disk) is a list of
+pieces, each given n_s nodes of one graded parametrization (Kress's
+corner grading): the derivative vanishes at the corner node that starts
+each piece, so corner nodes carry zero quadrature weight in the integral
+operators downstream. `_graded` lays out the nodes of every such curve.
 
 Orientation convention: counterclockwise for boundaries of bounded
 domains, clockwise when the domain of interest is the unbounded
-complement.
+complement. Every builder refuses non-finite curve data.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ def _uniform_t(n: int) -> np.ndarray:
 
 def _curve(eta, deta, orientation, corners=()) -> BoundaryCurve:
     eta = np.ascontiguousarray(eta, dtype=complex)
+    deta = np.ascontiguousarray(deta, dtype=complex)
+    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(deta))):
+        raise ValueError("curve data must be finite")
     n = eta.shape[0]
     # strong grading rounds nodes onto a corner; the kernels divide by node differences
     if np.any(eta == np.roll(eta, 1)):
@@ -93,7 +97,7 @@ def _curve(eta, deta, orientation, corners=()) -> BoundaryCurve:
         n=n,
         t=_uniform_t(n),
         eta=eta,
-        deta=np.ascontiguousarray(deta, dtype=complex),
+        deta=deta,
         orientation=orientation,
         corners=tuple(int(c) for c in corners),
     )
@@ -125,6 +129,25 @@ def _check_grading(n_s: int, p: float):
         raise ValueError("need at least 8 nodes per piece")
     if p < 2.0:
         raise ValueError("grading exponent must be at least 2")
+
+
+def _graded(pieces, n_s: int, p: float) -> BoundaryCurve:
+    """Counterclockwise curve of graded pieces, n_s nodes each.
+
+    Each piece maps (g, g', scale) to its (eta, deta), where g = _grade(tau)
+    on tau = k / n_s, k < n_s, and scale = d tau / d t, since the pieces
+    share [0, 2 pi) equally. Piece k starts at corner node k n_s.
+    """
+    g, dg = _grade(np.arange(n_s) / n_s, p)
+    scale = len(pieces) / TWO_PI
+    parts = [piece(g, dg, scale) for piece in pieces]
+    eta = np.concatenate([e for e, _ in parts])
+    deta = np.concatenate([d for _, d in parts])
+    # shoelace area of the nodes; the orientation stamped below must be true
+    nxt = np.roll(eta, -1)
+    if np.sum(eta.real * nxt.imag - nxt.real * eta.imag) <= 0.0:
+        raise ValueError("the boundary must run counterclockwise")
+    return _curve(eta, deta, "ccw", range(0, eta.size, n_s))
 
 
 # ----------------------------------------------------------------------
@@ -197,10 +220,6 @@ def _validate_polygon(vertices: np.ndarray):
     nxt = np.roll(vertices, -1)
     if np.any(np.abs(nxt - vertices) == 0.0):
         raise ValueError("repeated consecutive vertices")
-    # signed area via the shoelace formula; require counterclockwise
-    area2 = np.sum(vertices.real * nxt.imag - nxt.real * vertices.imag)
-    if area2 <= 0.0:
-        raise ValueError("vertices must be in counterclockwise order")
     for i in range(m):
         for j in range(i + 1, m):
             if j == i + 1 or (i == 0 and j == m - 1):
@@ -228,19 +247,9 @@ def make_polygon(vertices, n_s: int, p: float = 3.0) -> BoundaryCurve:
     vertices = np.asarray(vertices, dtype=complex)
     _check_grading(n_s, p)
     _validate_polygon(vertices)
-    m = len(vertices)
-    tau = np.arange(n_s) / n_s
-    g, dg = _grade(tau, p)
-    scale = m / TWO_PI  # d tau / d t on each side
-    eta = np.empty(m * n_s, dtype=complex)
-    deta = np.empty_like(eta)
-    for k in range(m):
-        dz = vertices[(k + 1) % m] - vertices[k]
-        sl = slice(k * n_s, (k + 1) * n_s)
-        eta[sl] = vertices[k] + dz * g
-        deta[sl] = dz * dg * scale
-    corners = tuple(k * n_s for k in range(m))
-    return _curve(eta, deta, "ccw", corners)
+    sides = zip(vertices, np.roll(vertices, -1) - vertices)
+    return _graded([lambda g, dg, scale, v=v, dz=dz: (v + dz * g, dz * dg * scale)
+                    for v, dz in sides], n_s, p)
 
 
 def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
@@ -248,8 +257,9 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
 
     Each arc is a tuple ``(center, radius, theta0, theta1)`` traversed
     from angle theta0 to theta1 around its center. Consecutive arcs must
-    join to within 1e-12. A single arc spanning a full turn is treated
-    as a smooth circle: uniform parametrization, no corners.
+    join to within 1e-12, and the chain must run counterclockwise. A
+    single arc spanning a full turn is treated as a smooth circle: uniform
+    parametrization, no corners, oriented by its direction of travel.
     """
     _check_grading(n_s, p)
     arcs = [(complex(c), float(R), float(a0), float(a1)) for (c, R, a0, a1) in arcs]
@@ -278,21 +288,15 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
         start = cn + Rn * np.exp(1j * a0n)
         if abs(end - start) > 1e-12:
             raise ValueError(f"arc chain not closed at junction {k}")
-    tau = np.arange(n_s) / n_s
-    g, dg = _grade(tau, p)
-    scale = m / TWO_PI
-    eta = np.empty(m * n_s, dtype=complex)
-    deta = np.empty_like(eta)
-    for k, (c, R, a0, a1) in enumerate(arcs):
-        dphi = a1 - a0
-        phi = a0 + dphi * g
-        dphi_dt = dphi * dg * scale
-        e = np.exp(1j * phi)
-        sl = slice(k * n_s, (k + 1) * n_s)
-        eta[sl] = c + R * e
-        deta[sl] = 1j * R * e * dphi_dt
-    corners = tuple(k * n_s for k in range(m))
-    return _curve(eta, deta, "ccw", corners)
+
+    def piece(c, R, a0, a1):
+        def arc(g, dg, scale):
+            dphi = a1 - a0
+            e = np.exp(1j * (a0 + dphi * g))
+            return c + R * e, 1j * R * e * (dphi * dg * scale)
+        return arc
+
+    return _graded([piece(*arc) for arc in arcs], n_s, p)
 
 
 def make_rectangle(r: float, n_s: int, p: float = 3.0) -> BoundaryCurve:
@@ -321,80 +325,61 @@ def make_rectangle(r: float, n_s: int, p: float = 3.0) -> BoundaryCurve:
 # where the segment meets the arc. G1 is G3 with a = 0.
 
 
-def _sqrt_on_right(theta, a):
-    """Continuous branch of sqrt(e^{i theta} - a) for theta in [-pi, pi].
+def _sqrt_branch(theta, c):
+    """Continuous branch of sqrt(e^{i theta} - c) along the opened circle, 0 <= c < 1.
 
-    Uses e^{i theta} - a = e^{i theta/2} ((1-a) cos(theta/2)
-    + i (1+a) sin(theta/2)); the bracket stays in the right half plane,
-    where the principal square root is continuous.
+    Uses e^{i theta} - c = e^{i theta/2} ((1-c) cos(theta/2)
+    + i (1+c) sin(theta/2)). For theta in [-pi, pi] (G1, G3; c = a) the
+    bracket stays in the right half plane, for theta in [0, 2 pi] (G2;
+    c = r, cut along the positive reals) in the upper half plane; the
+    principal square root is continuous on both. G2's endpoint values are
+    the one-sided limits from inside the arc, +-sqrt(1-r) at theta = 0, 2 pi.
     """
     half = 0.5 * np.asarray(theta, dtype=float)
-    bracket = (1.0 - a) * np.cos(half) + 1j * (1.0 + a) * np.sin(half)
+    bracket = (1.0 - c) * np.cos(half) + 1j * (1.0 + c) * np.sin(half)
     return np.exp(0.25j * np.asarray(theta, dtype=float)) * np.sqrt(bracket)
 
 
-def _sqrt_on_upper(theta, r):
-    """Branch of sqrt(e^{i theta} - r) cut along the positive reals, theta in [0, 2 pi].
-
-    Same half-angle factorization; here the bracket stays in the upper
-    half plane. The endpoint values are the one-sided limits from inside
-    the arc: +sqrt(1-r) at theta=0 and -sqrt(1-r) at theta=2 pi.
-    """
-    half = 0.5 * np.asarray(theta, dtype=float)
-    bracket = (1.0 - r) * np.cos(half) + 1j * (1.0 + r) * np.sin(half)
-    return np.exp(0.25j * np.asarray(theta, dtype=float)) * np.sqrt(bracket)
-
-
-def _opened_arc_piece(theta, dtheta_dt, coef, branch, par):
-    """Arc piece zeta(t) = coef * S(theta(t)) with S^2 = e^{i theta} - par."""
-    s = branch(theta, par)
-    ds = 0.5j * np.exp(1j * theta) / s
-    return coef * s, coef * ds * dtheta_dt
-
-
-def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
-                          p: float = 3.0) -> BoundaryCurve:
-    """Boundary of a slit unit disk after opening the slit (see above).
-
-    Two pieces of n_s nodes each: the straight segment the slit sides
-    open into, and the arc the unit circle opens into. Corner nodes sit
-    at the two junctions (indices 0 and n_s).
-    """
-    _check_grading(n_s, p)
+def _check_slit(case: str, r: float, a: float):
     if case not in ("G1", "G2", "G3"):
         raise ValueError("case must be 'G1', 'G2' or 'G3'")
     if case in ("G1", "G2") and a != 0.0:
         raise ValueError(f"{case} has no offset parameter")
     if not 0.0 <= a < r < 1.0:
         raise ValueError("parameters must satisfy 0 <= a < r < 1")
-    tau = np.arange(n_s) / n_s
-    g, dg = _grade(tau, p)
-    inv_w = 1.0 / np.pi  # d tau / d t, two pieces of parameter width pi
-    n = 2 * n_s
-    eta = np.empty(n, dtype=complex)
-    deta = np.empty_like(eta)
+
+
+def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
+                          p: float = 3.0) -> BoundaryCurve:
+    """Boundary of a slit unit disk after opening the slit (see above).
+
+    Two graded pieces of n_s nodes each: the straight segment the slit
+    sides open into, and the arc the unit circle opens into. Corner nodes
+    sit at the two junctions (indices 0 and n_s).
+    """
+    _check_grading(n_s, p)
+    _check_slit(case, r, a)
     if case == "G2":
-        coef = 2.0j * np.sqrt(r)
+        coef, c, theta0 = 2.0j * np.sqrt(r), r, 0.0
         y_top = 2.0 * np.sqrt(r * (1.0 - r))
-        # piece 0: the circle image, theta from 0 to 2 pi
-        theta = TWO_PI * g
-        eta[:n_s], deta[:n_s] = _opened_arc_piece(
-            theta, TWO_PI * dg * inv_w, coef, _sqrt_on_upper, r)
-        # piece 1: the opened slit, segment from -i y_top to +i y_top
-        eta[n_s:] = 1j * y_top * (2.0 * g - 1.0)
-        deta[n_s:] = 2.0j * y_top * dg * inv_w
-    else:
-        # G1 is G3 with a = 0
-        coef = 2.0 * np.sqrt(r - a)
+    else:  # G1 is G3 with a = 0
+        coef, c, theta0 = 2.0 * np.sqrt(r - a), a, -np.pi
         y_top = 2.0 * np.sqrt((r - a) * (1.0 + a))
-        # piece 0: the opened slit, segment from +i y_top to -i y_top
-        eta[:n_s] = 1j * y_top * (1.0 - 2.0 * g)
-        deta[:n_s] = -2.0j * y_top * dg * inv_w
-        # piece 1: the circle image, theta from -pi to pi
-        theta = -np.pi + TWO_PI * g
-        eta[n_s:], deta[n_s:] = _opened_arc_piece(
-            theta, TWO_PI * dg * inv_w, coef, _sqrt_on_right, a)
-    return _curve(eta, deta, "ccw", (0, n_s))
+
+    def arc(g, dg, scale):
+        # zeta = coef S(theta) with S^2 = e^{i theta} - c, theta over a full turn
+        theta = theta0 + TWO_PI * g
+        s = _sqrt_branch(theta, c)
+        return coef * s, coef * (0.5j * np.exp(1j * theta) / s) * (TWO_PI * dg * scale)
+
+    # each segment keeps its own expression: a +-1 factor would flip the
+    # sign of the zero at its midpoint node
+    if case == "G2":  # the arc from theta = 0, then the segment from -i y_top up
+        return _graded([arc, lambda g, dg, scale: (1j * y_top * (2.0 * g - 1.0),
+                                                   2.0j * y_top * dg * scale)], n_s, p)
+    # the segment from +i y_top down, then the arc from theta = -pi
+    return _graded([lambda g, dg, scale: (1j * y_top * (1.0 - 2.0 * g),
+                                          -2.0j * y_top * dg * scale), arc], n_s, p)
 
 
 # ----------------------------------------------------------------------

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
-from .curves import (BoundaryCurve, _boundary_sums, boundary_clearance,  # noqa: F401
-                     node_spacing_scale, winding_inside, winding_number)
+from .curves import (BoundaryCurve, _boundary_sums, _check_slit,  # noqa: F401
+                     boundary_clearance, node_spacing_scale, winding_inside, winding_number)
 from .kernel import (GnkSolution, KernelContext, SolveConfig, bounded_context,
                      solve_neumann_system, unbounded_context)
 
@@ -181,12 +181,7 @@ def slit_opening_forward(case: str, r: float, z, a: float = 0.0) -> np.ndarray:
     cut along the positive reals; G3: 2 sqrt(r - a) sqrt(z - a). Each is
     normalized to unit derivative at the family's base point.
     """
-    if case not in ("G1", "G2", "G3"):
-        raise ValueError("case must be 'G1', 'G2' or 'G3'")
-    if case in ("G1", "G2") and a != 0.0:
-        raise ValueError(f"{case} has no offset parameter")
-    if not 0.0 <= a < r < 1.0:
-        raise ValueError("parameters must satisfy 0 <= a < r < 1")
+    _check_slit(case, r, a)
     z = np.asarray(z, dtype=complex)
     if case == "G2":
         if np.any((z.imag == 0.0) & (z.real >= r)):

@@ -261,6 +261,9 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-max", "0"],
     # a grid extent that is not finite
     ["hypdist", "{L}", "--z1", "2i", "--grid=-1,inf,-1,4,5,5", "--out", "{out}"],
+    # no DOMAIN and no --ngon-sweep
+    ["redmod"],
+    ["redmod", "--sweep", "0.1:1:0.1"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
                                tmp_path, capsys):
@@ -271,6 +274,33 @@ def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellips
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "polygon", "vertices": [[0, 0], [1, 0], ["nan", 1]], "ns": 32},
+    {"kind": "ellipse", "a": "nan", "b": 0.5, "n": 64},
+    {"kind": "ellipse", "a": "inf", "b": 0.5, "n": 64},
+    {"kind": "arcs", "arcs": [[[0, 0], "nan", 0.0, FULL_TURN]], "ns": 32},
+    {"kind": "rectangle", "r": "nan", "ns": 32},
+], ids=["polygon", "ellipse-nan", "ellipse-inf", "arcs", "rectangle"])
+def test_nonfinite_domain_is_validation_error(desc, tmp_path, capsys):
+    # refused while the curve is built, not blamed on the base point later
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(desc))
+    assert main(["confrad", str(path), "--base", "0.1"]) == 2
+    assert "curve data must be finite" in capsys.readouterr().err
+
+
+def test_clockwise_arc_chain_is_validation_error(tmp_path, capsys):
+    # this point lies outside the lens; a clockwise chain labelled "ccw"
+    # used to answer 0.9908 with exit 0
+    path = tmp_path / "lens_cw.json"
+    path.write_text(json.dumps({"kind": "arcs", "ns": 64, "arcs": [
+        [[1, 0], math.sqrt(2.0), 1.25 * math.pi, 0.75 * math.pi],
+        [[0, 0], 1.0, 0.5 * math.pi, -0.5 * math.pi]]}))
+    rc = main(["harm", str(path), "--side", "1", "--z", "0.27079613190137286-0.96875i"])
+    assert rc == 2
+    assert "must run counterclockwise" in capsys.readouterr().err
 
 
 def test_unknown_domain_kind(tmp_path, capsys):

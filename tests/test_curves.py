@@ -167,6 +167,14 @@ def test_arc_chain_validation():
         make_circular_arc_polygon([], 32)
 
 
+def test_clockwise_arc_chain_rejected():
+    # the lens of test_lens_of_two_arcs traversed the other way
+    arcs = [(1.0 + 0.0j, np.sqrt(2.0), 5.0 * np.pi / 4.0, 3.0 * np.pi / 4.0),
+            (0.0j, 1.0, np.pi / 2.0, -np.pi / 2.0)]
+    with pytest.raises(ValueError, match="must run counterclockwise"):
+        make_circular_arc_polygon(arcs, 64)
+
+
 # ------------------------------------------------------- opened slit disks
 
 @pytest.mark.parametrize("case,r,a,base", [
@@ -208,6 +216,47 @@ def test_opened_slit_validation():
         make_opened_slit_disk("G3", 0.3, a=0.5)  # needs a < r
     with pytest.raises(ValueError):
         make_opened_slit_disk("G1", 1.2)
+
+
+# ------------------------------------------------- every graded builder
+
+L_SHAPE = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+LENS = [(0.0j, 1.0, -np.pi / 2.0, np.pi / 2.0),
+        (1.0 + 0.0j, np.sqrt(2.0), 3.0 * np.pi / 4.0, 5.0 * np.pi / 4.0)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda n_s: make_polygon(L_SHAPE, n_s),
+    lambda n_s: make_rectangle(1.5, n_s, p=4.0),
+    lambda n_s: make_circular_arc_polygon(LENS, n_s),
+    lambda n_s: make_opened_slit_disk("G1", 0.25, n_s=n_s),
+    lambda n_s: make_opened_slit_disk("G2", 0.5, n_s=n_s),
+    lambda n_s: make_opened_slit_disk("G3", 0.6, a=0.2, n_s=n_s),
+], ids=["L", "rectangle-p4", "lens", "G1", "G2", "G3"])
+def test_graded_deta_is_parameter_derivative(build):
+    coarse, fine = build(128), build(256)
+    # doubling n_s keeps every coarse node: tau = 2k / 2n_s is k / n_s exactly
+    assert np.array_equal(fine.eta[::2], coarse.eta)
+    # a centred difference over the fine nodes around each coarse node;
+    # a wrong chain-rule factor d tau / d t would be off by O(1)
+    fd = (np.roll(fine.eta, -1) - np.roll(fine.eta, 1)) / (2.0 * fine.weight)
+    err = np.max(np.abs(fd[::2] - coarse.deta)) / np.max(np.abs(coarse.deta))
+    assert err < 1e-3
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_polygon([0.0, 1.0, complex(np.nan, 1.0)], 32),
+    lambda: make_ellipse(np.nan, 1.0, 64),
+    lambda: make_ellipse(np.inf, 1.0, 64),
+    lambda: make_circular_arc_polygon([(0.0j, np.nan, 0.0, TWO_PI)], 32),
+    lambda: make_circular_arc_polygon([(complex(np.nan, 0.0), 1.0, 0.0, np.pi),
+                                       (complex(np.nan, 0.0), 1.0, np.pi, TWO_PI)], 32),
+    lambda: make_rectangle(np.nan, 32),
+], ids=["polygon-vertex", "ellipse-nan", "ellipse-inf", "circle-radius", "arc-center",
+        "rectangle"])
+def test_nonfinite_curve_data_rejected(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 # ------------------------------------------------------------- utilities
