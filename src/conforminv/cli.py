@@ -237,6 +237,8 @@ def _redmod_ngon_sweep(args) -> int:
 
 def _redmod(args, desc: dict, cfg: SolveConfig) -> float:
     """Reduced modulus of a domain description; an opened slit disk uses its family's base."""
+    if desc["kind"] == "opened_slit" and args.base:
+        raise ValueError("an opened slit disk uses its family's base point")
     curve = _build_domain(desc, args.size, args.grading_p)
     if desc["kind"] == "opened_slit":
         base = _SLIT_BASE_IMAGE[desc["case"]](float(desc["r"]), float(desc.get("a", 0.0)))

@@ -14,6 +14,7 @@ complement. Every builder refuses non-finite curve data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +163,9 @@ def make_ellipse(a: float, b: float, n: int, kind: str = "interior") -> Boundary
     gives the clockwise curve eta(t) = a cos t - i b sin t whose domain
     is the unbounded complement. a = b produces a circle.
     """
+    # refused before inf * 0 = nan can warn in the samples below
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError("curve data must be finite")
     if a <= 0.0 or b <= 0.0:
         raise ValueError("semiaxes must be positive")
     if n < 4 or n % 2:

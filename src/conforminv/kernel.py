@@ -34,10 +34,21 @@ Solving (I - N) rho = -M gamma for the real density rho and averaging
     h = (M rho - (I - N) gamma) / 2
 
 yields the constant h that the conformal mapping modules consume.
+
+Solves are memoized by content: solve_neumann_system keeps the last
+_MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
+hash of the bytes of eta, eta', A and gamma together with the solver
+settings. A repeat of the same problem in one process, even on a curve
+rebuilt from the same data, skips assembly and GMRES and returns the
+stored solution with the same bits. Only the O(n) solution is kept, never
+the n^2 matrices. Warm-started solves (an x0) and failed solves are not
+memoized.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,15 +211,35 @@ def apply_M(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:
     return -conjugate_periodic(rho) + ctx.curve.weight * (M1 @ rho)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GnkSolution:
-    """Density rho, the mapping constant h, and solver diagnostics."""
+    """Density rho, the mapping constant h, and solver diagnostics.
+
+    Frozen, with a read-only view of rho, because memoized solutions are
+    shared between callers.
+    """
 
     rho: np.ndarray
     h: float
     h_spread: float
     gmres_iters: int
     residual: float
+
+    def __post_init__(self):
+        rho = np.asarray(self.rho, dtype=float).view()
+        rho.flags.writeable = False
+        object.__setattr__(self, "rho", rho)
+
+
+_MEMO_SIZE = 8
+_memo: OrderedDict = OrderedDict()  # key -> GnkSolution, least recent first
+
+
+def _memo_key(ctx: KernelContext, gamma: np.ndarray, cfg: SolveConfig):
+    digest = hashlib.blake2b(digest_size=16)
+    for arr in (ctx.curve.eta, ctx.curve.deta, ctx.A, gamma):
+        digest.update(arr.tobytes())
+    return digest.digest(), cfg.gmres_tol, cfg.max_iters
 
 
 def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
@@ -219,6 +250,13 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     gamma is the real boundary data of the mapping problem. The returned
     h is the average of the pointwise values; their spread h_spread is a
     useful self-check (it vanishes with the discretization error).
+
+    Without x0, the solution is memoized on a hash of eta, eta', A, gamma
+    and cfg's gmres_tol and max_iters: a repeat returns the stored
+    GnkSolution, including the gmres_iters and residual of the solve that
+    produced it, without assembling or iterating. A warm start x0 bypasses
+    the memo, since it changes the last bits of rho. A ConvergenceError is
+    raised afresh on every call and never stored.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -228,6 +266,10 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
         raise ValueError("gamma must match the curve's node count")
     if n % 2:
         raise ValueError("node count must be even")
+    key = None if x0 is not None else _memo_key(ctx, gamma, cfg)
+    if key in _memo:
+        _memo.move_to_end(key)
+        return _memo[key]
     N, M1 = ctx.matrices()
     w = ctx.curve.weight
     rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
@@ -254,5 +296,10 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h_pw = 0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma))
     h = float(np.mean(h_pw))
     spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
-    return GnkSolution(rho=rho, h=h, h_spread=spread,
-                       gmres_iters=iters, residual=residual)
+    sol = GnkSolution(rho=rho, h=h, h_spread=spread,
+                      gmres_iters=iters, residual=residual)
+    if key is not None:
+        _memo[key] = sol
+        if len(_memo) > _MEMO_SIZE:
+            _memo.popitem(last=False)
+    return sol

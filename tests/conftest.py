@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from conforminv import make_ellipse
+from conforminv import kernel, make_ellipse
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -15,6 +15,23 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance summary")
         for line in lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def cold_solve_memo():
+    # each test starts with no memoized solves, so its results and time
+    # gates do not depend on which tests ran before; repeats within one
+    # test still hit
+    kernel._memo.clear()
+
+
+@pytest.fixture
+def assemblies(monkeypatch):
+    """Calls of kernel._assemble so far, i.e. solves that missed the memo."""
+    calls = []
+    assemble = kernel._assemble
+    monkeypatch.setattr(kernel, "_assemble", lambda ctx: calls.append(1) or assemble(ctx))
+    return calls
 
 
 @pytest.fixture

@@ -51,6 +51,14 @@ def ellipse_json(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def slit_json(tmp_path):
+    path = tmp_path / "G3.json"
+    path.write_text(json.dumps(
+        {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 64}))
+    return str(path)
+
+
 def _stdout_float(capsys):
     return float(capsys.readouterr().out.strip().splitlines()[-1])
 
@@ -77,6 +85,19 @@ def test_hypdist_grid_csv(disk_json, tmp_path):
             assert r[3] == "nan"
         else:
             assert np.isfinite(float(r[3]))
+
+
+def test_repeated_grid_run_reuses_the_solve(lshape_json, tmp_path, assemblies):
+    # a second run in the same process rebuilds the curve from the file,
+    # hits the memoized solve and writes the same bytes
+    outs = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    counts = []
+    for out in outs:
+        assert main(["hypdist", lshape_json, "--z1", "2i",
+                     "--grid=-1,6,-1,4,15,11", "--out", str(out)]) == 0
+        counts.append(len(assemblies))
+    assert counts == [1, 1]
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 def test_hypdist_grid_json(disk_json, tmp_path):
@@ -264,12 +285,15 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     # no DOMAIN and no --ngon-sweep
     ["redmod"],
     ["redmod", "--sweep", "0.1:1:0.1"],
+    # an opened slit disk has its family's base point
+    ["redmod", "{G3}", "--ns", "64", "--base", "0.1"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
-                               tmp_path, capsys):
+                               slit_json, tmp_path, capsys):
     path = square_json if argv[0] == "harm" else disk_json
     out = tmp_path / "f.csv"
-    argv = [a.format(path=path, L=lshape_json, E=ellipse_json, out=out) for a in argv]
+    argv = [a.format(path=path, L=lshape_json, E=ellipse_json, G3=slit_json, out=out)
+            for a in argv]
     rc = main(argv)
     assert rc == 2
     assert "error:" in capsys.readouterr().err

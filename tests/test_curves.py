@@ -1,5 +1,7 @@
 """Boundary curve construction, grading, and point location."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,17 @@ def test_graded_deta_is_parameter_derivative(build):
 def test_nonfinite_curve_data_rejected(build):
     with pytest.raises(ValueError, match="finite"):
         build()
+
+
+@pytest.mark.parametrize("kind", ["interior", "exterior"])
+def test_infinite_semiaxis_refused_without_warning(kind):
+    # checked before inf * 0 = nan is formed, so no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            make_ellipse(np.inf, 0.5, 64, kind)
+        with pytest.raises(ValueError, match="finite"):
+            make_ellipse(1.0, -np.inf, 64, kind)
 
 
 # ------------------------------------------------------------- utilities

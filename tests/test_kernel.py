@@ -4,6 +4,7 @@ The strongest checks are closed forms on circles and analytic test
 functions whose densities are known exactly.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -241,3 +242,91 @@ def test_context_validation(circle):
         unbounded_context(circle(32))
     with pytest.raises(ValueError):
         bounded_context(circle(32), 1.0 + 0.0j)  # on the boundary
+
+
+# ------------------------------------------------------------- solve memo
+
+def _l_problem(base=2j, n_s=64):
+    ctx = bounded_context(make_polygon(L_VERTICES, n_s), base)
+    return ctx, -np.log(np.abs(ctx.curve.eta - base))
+
+
+def test_memo_hit_returns_stored_solution_without_assembly(assemblies):
+    ctx, gamma = _l_problem()
+    cold = solve_neumann_system(ctx, gamma)
+    assert len(assemblies) == 1
+    ctx2, gamma2 = _l_problem()
+    hit = solve_neumann_system(ctx2, gamma2)
+    assert hit is cold
+    assert len(assemblies) == 1
+    assert ctx2._cache == {}
+    # the stored bits are those of a cold solve
+    kernel._memo.clear()
+    again = solve_neumann_system(*_l_problem())
+    assert again is not cold
+    assert np.array_equal(again.rho, hit.rho)
+    assert again.h == hit.h and again.gmres_iters == hit.gmres_iters
+    assert again.residual == hit.residual and again.h_spread == hit.h_spread
+
+
+def test_memo_bypassed_by_warm_start(assemblies):
+    ctx, gamma = _l_problem()
+    cold = solve_neumann_system(ctx, gamma)
+    warm = solve_neumann_system(*_l_problem(), x0=cold.rho)
+    assert warm is not cold
+    assert len(assemblies) == 2
+    assert len(kernel._memo) == 1
+    assert solve_neumann_system(*_l_problem()) is cold
+
+
+def test_memo_keyed_on_solver_settings():
+    ctx, gamma = _l_problem()
+    first = solve_neumann_system(ctx, gamma)
+    other = solve_neumann_system(ctx, gamma, SolveConfig(gmres_tol=1e-12))
+    assert other is not first
+    more = solve_neumann_system(ctx, gamma, SolveConfig(max_iters=99))
+    assert more is not first and more is not other
+    assert solve_neumann_system(ctx, gamma, SolveConfig()) is first
+    assert len(kernel._memo) == 3
+
+
+def test_memo_keyed_on_content_not_identity(assemblies):
+    ctx, gamma = _l_problem()
+    first = solve_neumann_system(ctx, gamma)
+    # a rebuilt curve with the same data hits; a moved base misses, also
+    # with the same gamma, since the base enters the kernel through A
+    assert solve_neumann_system(*_l_problem()) is first
+    moved = solve_neumann_system(*_l_problem(base=2j + 1e-9))
+    assert moved is not first
+    same_gamma = solve_neumann_system(bounded_context(ctx.curve, 0.5 + 2j), gamma)
+    assert same_gamma is not first and same_gamma is not moved
+    assert len(assemblies) == 3
+
+
+def test_memo_evicts_least_recently_used(circle, assemblies):
+    ctx = bounded_context(circle(16), 0.0)
+    gammas = [np.cos(k * ctx.curve.t) for k in range(kernel._MEMO_SIZE + 1)]
+    sols = [solve_neumann_system(ctx, g) for g in gammas[:-1]]
+    assert solve_neumann_system(ctx, gammas[0]) is sols[0]  # now most recent
+    solve_neumann_system(ctx, gammas[-1])
+    assert len(kernel._memo) == kernel._MEMO_SIZE
+    assert solve_neumann_system(ctx, gammas[0]) is sols[0]
+    assert solve_neumann_system(ctx, gammas[2]) is sols[2]
+    assert solve_neumann_system(ctx, gammas[1]) is not sols[1]  # evicted
+
+
+def test_memo_never_stores_a_failed_solve(assemblies):
+    for attempt in range(1, 3):
+        with pytest.raises(ConvergenceError):
+            solve_neumann_system(*_l_problem(), SolveConfig(max_iters=2))
+        assert len(assemblies) == attempt
+    assert len(kernel._memo) == 0
+
+
+def test_solution_is_read_only(circle):
+    ctx = bounded_context(circle(16), 0.0)
+    sol = solve_neumann_system(ctx, np.cos(ctx.curve.t))
+    with pytest.raises(ValueError):
+        sol.rho[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.h = 0.0
