@@ -11,9 +11,8 @@ from .curves import (BoundaryCurve, make_amoeba, make_circular_arc_polygon,
                      make_rectangle, spectral_derivative, winding_inside)
 from .diskmap import (DiskMap, Mobius, cauchy_eval, map_bounded, map_unbounded,
                       mobius_three_points, slit_opening_forward)
-from .exact import (agm, crowding_estimate, crowding_r_of_theta2,
-                    crowding_theta2_of_r, ellip_k, mu, mu_inv,
-                    oracle_quad_r, oracle_reduced_modulus)
+from .exact import (agm, crowding_r_of_theta2, crowding_theta2_of_r, ellip_k, mu,
+                    mu_inv, oracle_quad_r, oracle_reduced_modulus)
 from .invariants import (GridSpec, QuadConfig, QuadModulusTrace, ScalarField,
                          conformal_radius, harmonic_measure, harmonic_measure_all,
                          harmonic_measure_field, hyperbolic_distance, hyperbolic_distance_field,
@@ -36,7 +35,6 @@ __all__ = [
     "mobius_three_points", "slit_opening_forward",
     "agm", "ellip_k", "mu", "mu_inv", "oracle_reduced_modulus",
     "oracle_quad_r", "crowding_r_of_theta2", "crowding_theta2_of_r",
-    "crowding_estimate",
     "GridSpec", "ScalarField", "hyperbolic_distance", "hyperbolic_distance_field",
     "conformal_radius", "reduced_modulus", "reduced_modulus_slit_disk",
     "harmonic_measure", "harmonic_measure_all", "QuadConfig", "QuadModulusTrace",

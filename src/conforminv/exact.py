@@ -21,7 +21,6 @@ __all__ = [
     "oracle_quad_r",
     "crowding_r_of_theta2",
     "crowding_theta2_of_r",
-    "crowding_estimate",
 ]
 
 _HALF_PI = math.pi / 2.0
@@ -200,18 +199,3 @@ def crowding_theta2_of_r(r: float) -> float:
         x = 1.0 - 2.0 * sc * sc
     # arccot with range (0, pi)
     return 2.0 * (_HALF_PI - math.atan(x))
-
-
-def crowding_estimate(r: float) -> float:
-    """Fitted approximation of crowding_theta2_of_r for quick estimates.
-
-    Two fitted exponential regimes, selected by the magnitude of r:
-
-        r >= 1:    3 pi/2 - 32.3663566817311 * 10^(-1.36452159123521 r)
-        0 < r < 1: pi/2 + 32.3665310118084 * 10^(-1.36452172896714 / r)
-    """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    if r >= 1.0:
-        return 3.0 * _HALF_PI - 32.3663566817311 * 10.0 ** (-1.36452159123521 * r)
-    return _HALF_PI + 32.3665310118084 * 10.0 ** (-1.36452172896714 / r)

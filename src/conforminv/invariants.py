@@ -22,8 +22,8 @@ import numpy as np
 from .curves import (BoundaryCurve, _boundary_sums, _winding,  # noqa: F401
                      boundary_clearance, make_opened_slit_disk, make_rectangle,
                      node_spacing_scale, winding_inside, winding_number)
-from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
-                      mobius_three_points)
+from .diskmap import (_cauchy_pass, _map_rectangle, _phi, cauchy_eval, map_bounded,
+                      map_unbounded, mobius_three_points)
 from .kernel import SolveConfig
 
 __all__ = [
@@ -117,11 +117,6 @@ class ScalarField:
 def _admissible(curve: BoundaryCurve, inside, clearance):
     """Inside test plus a 10-node-spacing standoff from the boundary."""
     return inside & (clearance > 10.0 * node_spacing_scale(curve))
-
-
-def _domain_mask(curve: BoundaryCurve, z: np.ndarray) -> np.ndarray:
-    inside, _, _, clearance = _boundary_sums(curve, z)
-    return _admissible(curve, inside, clearance).reshape(z.shape)
 
 
 def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
@@ -410,7 +405,7 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
         iterations = k
         curve = make_rectangle(r, cfg.n_s, cfg.grading_p)
         alpha = 0.5 * (1.0 + 1j * r)
-        dm = map_bounded(curve, alpha, cfg.solve, x0=rho_prev)
+        dm = _map_rectangle(curve, alpha, cfg.solve, x0=rho_prev)
         rho_prev = dm.solution.rho
         corners = list(curve.corners)
         psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))

@@ -35,6 +35,24 @@ Solving (I - N) rho = -M gamma for the real density rho and averaging
 
 yields the constant h that the conformal mapping modules consume.
 
+GMRES stops at gmres_tol, near the float64 floor, so rounding can leave a
+pass a hair above it. Only then, where the solve would otherwise raise,
+one correction solve runs on the residual formed in long double precision
+(in row blocks), its iterations taken from the same max_iters budget, and
+ConvergenceError is raised only if the true residual still misses
+gmres_tol. Solves that pass GMRES outright never take this path. Where
+long double is float64, the correction adds no precision.
+
+The rectangle of the quadrilateral iteration, mapped from its centre,
+has two mirror symmetries that send nodes onto nodes (_RectangleFold):
+gamma is even under both, so rho is odd under both and only the nodes q
+between two side midpoints are unknown. A context made by
+_rectangle_context assembles just the rows of q and of the fixed
+midpoints, at full width, and GMRES runs on the folded (n_s - 1)-square
+matrix N[q, q] - N[q, s1] - N[q, s2] + N[q, s12] (Allgower, Georg and
+Miranda, SIAM J. Numer. Anal. 1992). Every other context keeps the full
+system, which stays the reference for the folded one.
+
 Solves are memoized by content: solve_neumann_system keeps the last
 _MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
 hash of the bytes of eta, eta', A and gamma together with the solver
@@ -42,7 +60,7 @@ settings. A repeat of the same problem in one process, even on a curve
 rebuilt from the same data, skips assembly and GMRES and returns the
 stored solution with the same bits. Only the O(n) solution is kept, never
 the n^2 matrices. Warm-started solves (an x0) and failed solves are not
-memoized.
+memoized, and a folded solve never answers for a full one or back.
 """
 
 from __future__ import annotations
@@ -99,16 +117,22 @@ class KernelContext:
     curve: BoundaryCurve
     A: np.ndarray
     alpha: complex | None = None
+    fold: _RectangleFold | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return self.curve.n
 
+    @property
+    def rows(self):
+        """The rows this context assembles: all of them, or a fold's Q then F."""
+        return slice(None) if self.fold is None else self.fold.rows
+
     def matrices(self):
-        """Dense Nystroem matrices (N, M1), assembled once and cached."""
+        """Dense Nystroem matrices (N, M1) at the context's rows, assembled once and cached."""
         if "NM" not in self._cache:
-            self._cache["NM"] = _assemble(self)
+            self._cache["NM"] = _assemble(self, None if self.fold is None else self.fold.rows)
         return self._cache["NM"]
 
 
@@ -130,6 +154,70 @@ def unbounded_context(curve: BoundaryCurve) -> KernelContext:
     return KernelContext(curve=curve, A=np.ones(curve.n, dtype=complex), alpha=None)
 
 
+@dataclass(frozen=True)
+class _RectangleFold:
+    """The two mirror symmetries of a make_rectangle curve, as node maps.
+
+    With n = 4 n_s nodes, sigma1: i -> (n_s - i) mod n reflects across the
+    vertical midline and sigma2: i -> (3 n_s - i) mod n across the
+    horizontal one. q holds the unknowns, the nodes strictly between the
+    midpoints of sides 0 and 1; s1, s2 and s12 their images under sigma1,
+    sigma2 and sigma1 sigma2; fixed the nodes a reflection fixes (the four
+    side midpoints, none for odd n_s). rows is q followed by fixed.
+    """
+
+    n: int
+    q: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    s12: np.ndarray
+    fixed: np.ndarray
+    rows: np.ndarray
+
+    def fold(self, Nq: np.ndarray) -> np.ndarray:
+        """The folded matrix from the rows q of a matrix (full width)."""
+        return Nq[:, self.q] - Nq[:, self.s1] - Nq[:, self.s2] + Nq[:, self.s12]
+
+    def unfold(self, x: np.ndarray) -> np.ndarray:
+        """The density that is odd under both reflections and x on q."""
+        rho = np.zeros(self.n)
+        rho[self.q] = x
+        rho[self.s1] = -x
+        rho[self.s2] = -x
+        rho[self.s12] = x
+        return rho
+
+    def mean(self, values: np.ndarray) -> float:
+        """Mean over all n nodes of an even function given at rows."""
+        m = self.q.size
+        return float((4.0 * np.sum(values[:m]) + np.sum(values[m:])) / self.n)
+
+
+def _rectangle_fold(n: int) -> _RectangleFold:
+    n_s = n // 4
+    i = np.arange(n)
+    s1 = (n_s - i) % n
+    s2 = (3 * n_s - i) % n
+    q = i[(n_s < 2 * i) & (2 * i < 3 * n_s)]
+    fixed = i[(s1 == i) | (s2 == i)]
+    return _RectangleFold(n=n, q=q, s1=s1[q], s2=s2[q], s12=s1[s2[q]], fixed=fixed,
+                          rows=np.concatenate((q, fixed)))
+
+
+def _rectangle_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
+    """Kernel data for make_rectangle(r, n_s, p) at its centre (1 + i r) / 2, folded.
+
+    Nothing checks the symmetry: the caller vouches for the curve and the
+    base, and solve_neumann_system on this context takes gamma to be even
+    under both reflections, as the disk map's -log|eta - alpha| is.
+    """
+    if curve.n % 4:
+        raise ValueError("a rectangle has 4 n_s nodes")
+    ctx = bounded_context(curve, alpha)
+    ctx.fold = _rectangle_fold(curve.n)
+    return ctx
+
+
 def _cot_row(n: int) -> np.ndarray:
     # cot(pi m / n) for m = 0..n-1 (index 0 unused; cot has period pi so
     # negative offsets reduce to the same table, read through _circulant)
@@ -149,39 +237,42 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return sliding_window_view(doubled, n)[::-1][1:]
 
 
-def _assemble(ctx: KernelContext):
-    """Dense (N, M1) matrices, built in cache-sized row blocks.
+def _assemble(ctx: KernelContext, rows: np.ndarray | None = None):
+    """Dense (N, M1) matrices, or their given rows at full width, in row blocks.
 
     A block holds about curves._BLOCK_PAIRS entries, so the temporaries
     stay in cache and peak memory is N and M1 plus a few MB. The
-    cotangent correction is added from a circulant view of one table row,
-    with no per-block index array or gather. Each entry and row sum is
-    formed in the same order whatever the block size.
+    cotangent correction is added from a circulant view of one table row;
+    with rows None there is no per-block index array or gather. Each entry
+    and row sum is formed in the same order whatever the block size, and a
+    row has the same bits whichever rows are built.
 
     Diagonals come from the row-sum rule: with weight w = 2 pi / n,
     w * sum_j N[i, j] = -1 and w * sum_j M1[i, j] = 0 exactly.
     """
     cv = ctx.curve
     n = cv.n
+    m = n if rows is None else len(rows)
     eta = cv.eta
     col = np.zeros(n, dtype=complex)
     nz = cv.deta != 0.0  # corner columns stay exactly zero
     col[nz] = cv.deta[nz] / (ctx.A[nz] * np.pi)
     cot = _circulant(_cot_row(n) / (2.0 * np.pi))
-    N = np.empty((n, n), dtype=float)
-    M1 = np.empty((n, n), dtype=float)
+    N = np.empty((m, n), dtype=float)
+    M1 = np.empty((m, n), dtype=float)
     inv_w = n / (2.0 * np.pi)
-    block = max(1, min(n, _BLOCK_PAIRS // n))
-    for r0 in range(0, n, block):
-        rows = slice(r0, min(n, r0 + block))
-        Nb, Mb = N[rows], M1[rows]
-        diag = (np.arange(Nb.shape[0]), np.arange(r0, rows.stop))
-        diff = eta[None, :] - eta[rows, None]
+    block = max(1, min(m, _BLOCK_PAIRS // n))
+    for r0 in range(0, m, block):
+        out = slice(r0, min(m, r0 + block))
+        src = out if rows is None else rows[out]  # the nodes of these rows
+        Nb, Mb = N[out], M1[out]
+        diag = (np.arange(Nb.shape[0]), np.arange(n)[src])
+        diff = eta[None, :] - eta[src, None]
         diff[diag] = 1.0  # placeholder, diagonal set below
-        kblock = (ctx.A[rows, None] / diff) * col[None, :]
+        kblock = (ctx.A[src, None] / diff) * col[None, :]
         Nb[...] = kblock.imag
         Mb[...] = kblock.real
-        Mb += cot[rows]
+        Mb += cot[src]
         Nb[diag] = 0.0
         Mb[diag] = 0.0
         Nb[diag] = -inv_w - Nb.sum(axis=1)
@@ -205,15 +296,19 @@ def conjugate_periodic(values: np.ndarray) -> np.ndarray:
 
 
 def apply_M(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:
-    """Application of the singular kernel M: spectral cotangent part plus M1."""
+    """M rho at the context's rows: spectral cotangent part plus M1."""
     _, M1 = ctx.matrices()
     rho = np.asarray(rho, dtype=float)
-    return -conjugate_periodic(rho) + ctx.curve.weight * (M1 @ rho)
+    return -conjugate_periodic(rho)[ctx.rows] + ctx.curve.weight * (M1 @ rho)
 
 
 @dataclass(frozen=True)
 class GnkSolution:
     """Density rho, the mapping constant h, and solver diagnostics.
+
+    refine_iters counts the GMRES iterations of the extended-precision
+    correction (0 when the first GMRES pass succeeded), and folded tells
+    whether the rectangle's symmetries were folded out of the system.
 
     Frozen, with a read-only view of rho, because memoized solutions are
     shared between callers.
@@ -224,6 +319,8 @@ class GnkSolution:
     h_spread: float
     gmres_iters: int
     residual: float
+    refine_iters: int = 0
+    folded: bool = False
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float).view()
@@ -234,12 +331,71 @@ class GnkSolution:
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()  # key -> GnkSolution, least recent first
 
+_REFINE_TOL = 1e-8  # relative tolerance of the correction solve
+
 
 def _memo_key(ctx: KernelContext, gamma: np.ndarray, cfg: SolveConfig):
     digest = hashlib.blake2b(digest_size=16)
     for arr in (ctx.curve.eta, ctx.curve.deta, ctx.A, gamma):
         digest.update(arr.tobytes())
-    return digest.digest(), cfg.gmres_tol, cfg.max_iters
+    return digest.digest(), cfg.gmres_tol, cfg.max_iters, ctx.fold is not None
+
+
+def _gmres(op, b, x0, rtol, budget):
+    """One GMRES cycle of at most budget iterations: (x, info, iterations)."""
+    history = []
+    x, info = gmres(op, b, x0=x0, rtol=rtol, atol=0.0, restart=budget, maxiter=1,
+                    callback=lambda pr: history.append(pr), callback_type="pr_norm")
+    return x, info, len(history)
+
+
+def _residual_longdouble(A: np.ndarray, w: float, x: np.ndarray, b: np.ndarray):
+    """b - (x - w A x) formed in np.longdouble, in row blocks of A."""
+    xl = x.astype(np.longdouble)
+    wl = np.longdouble(w)
+    r = np.empty(b.shape, dtype=np.longdouble)
+    block = max(1, _BLOCK_PAIRS // A.shape[1])
+    for r0 in range(0, A.shape[0], block):
+        sl = slice(r0, r0 + block)
+        r[sl] = b[sl] - (xl[sl] - wl * (A[sl].astype(np.longdouble) @ xl))
+    return r.astype(float)
+
+
+def _solve_dense(A: np.ndarray, b: np.ndarray, w: float, x0, cfg: SolveConfig):
+    """GMRES on (I - w A) x = b: (x, iterations, correction iterations, residual).
+
+    Where GMRES stops early above the tolerance, the usual case being its
+    recurrence residual crossing gmres_tol while the true one sits a hair
+    above it at the float64 floor, one correction solve on the residual
+    formed in long double precision gets a second chance. Its iterations
+    come out of the same max_iters budget. ConvergenceError is raised only
+    if the true residual still misses gmres_tol.
+    """
+    m = b.shape[0]
+    b_norm = float(np.linalg.norm(b))
+    iters, refine, info = 0, 0, 0
+    op = LinearOperator((m, m), matvec=lambda v: v - w * (A @ v), dtype=float)
+    if b_norm == 0.0:
+        x = np.zeros(m)
+    else:
+        x, info, iters = _gmres(op, b, x0, cfg.gmres_tol, cfg.max_iters)
+
+    def true_residual(x):  # relative, not GMRES's recurrence estimate
+        res = float(np.linalg.norm(x - w * (A @ x) - b))
+        return res / (b_norm if b_norm > 0.0 else 1.0)
+
+    residual = true_residual(x)
+    if info != 0 and iters < cfg.max_iters:
+        r = _residual_longdouble(A, w, x, b)
+        d, _, refine = _gmres(op, r, None, _REFINE_TOL, cfg.max_iters - iters)
+        x = x + d
+        residual = true_residual(x)
+        info = 0 if residual <= cfg.gmres_tol else info
+    if info != 0:
+        raise ConvergenceError(
+            f"GMRES did not reach tol {cfg.gmres_tol:g} within "
+            f"{cfg.max_iters} iterations (residual {residual:.3e})", residual)
+    return x, iters, refine, residual
 
 
 def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
@@ -251,12 +407,19 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h is the average of the pointwise values; their spread h_spread is a
     useful self-check (it vanishes with the discretization error).
 
-    Without x0, the solution is memoized on a hash of eta, eta', A, gamma
-    and cfg's gmres_tol and max_iters: a repeat returns the stored
-    GnkSolution, including the gmres_iters and residual of the solve that
-    produced it, without assembling or iterating. A warm start x0 bypasses
-    the memo, since it changes the last bits of rho. A ConvergenceError is
-    raised afresh on every call and never stored.
+    On a folded context (_rectangle_context) gamma must be even under both
+    reflections; rho is then odd under both, and GMRES runs on the rows q
+    of the folded matrix N[q, q] - N[q, s1] - N[q, s2] + N[q, s12], with x0
+    restricted to q. h is the mean of the pointwise values at q (weight 4)
+    and at the fixed nodes (weight 1), and residual is the folded system's.
+
+    Without x0, the solution is memoized on a hash of eta, eta', A, gamma,
+    cfg's gmres_tol and max_iters, and whether the context is folded: a
+    repeat returns the stored GnkSolution, including the gmres_iters,
+    refine_iters and residual of the solve that produced it, without
+    assembling or iterating. A warm start x0 bypasses the memo, since it
+    changes the last bits of rho. A ConvergenceError is raised afresh on
+    every call and never stored.
     """
     if cfg is None:
         cfg = SolveConfig()
@@ -272,32 +435,21 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
         return _memo[key]
     N, M1 = ctx.matrices()
     w = ctx.curve.weight
-    rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
-    rhs_norm = float(np.linalg.norm(rhs))
-    iters, info = 0, 0
-    if rhs_norm == 0.0:
-        rho = np.zeros(n)
+    fold = ctx.fold
+    if fold is None:
+        rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
+        rho, iters, refine, residual = _solve_dense(N, rhs, w, x0, cfg)
     else:
-        op = LinearOperator((n, n), matvec=lambda v: v - w * (N @ v), dtype=float)
-        history = []
-        rho, info = gmres(
-            op, rhs, x0=x0, rtol=cfg.gmres_tol, atol=0.0,
-            restart=cfg.max_iters, maxiter=1,
-            callback=lambda pr: history.append(pr), callback_type="pr_norm",
-        )
-        iters = len(history)
-    # the true relative residual, not GMRES's recurrence estimate
-    residual = float(np.linalg.norm(rho - w * (N @ rho) - rhs))
-    residual /= rhs_norm if rhs_norm > 0.0 else 1.0
-    if info != 0:
-        raise ConvergenceError(
-            f"GMRES did not reach tol {cfg.gmres_tol:g} within "
-            f"{cfg.max_iters} iterations (residual {residual:.3e})", residual)
-    h_pw = 0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma))
-    h = float(np.mean(h_pw))
+        m = fold.q.size
+        rhs = conjugate_periodic(gamma)[fold.q] - w * (M1[:m] @ gamma)
+        x, iters, refine, residual = _solve_dense(
+            fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q], cfg)
+        rho = fold.unfold(x)
+    h_pw = 0.5 * (apply_M(ctx, rho) - gamma[ctx.rows] + w * (N @ gamma))
+    h = float(np.mean(h_pw)) if fold is None else fold.mean(h_pw)
     spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
-    sol = GnkSolution(rho=rho, h=h, h_spread=spread,
-                      gmres_iters=iters, residual=residual)
+    sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters,
+                      residual=residual, refine_iters=refine, folded=fold is not None)
     if key is not None:
         _memo[key] = sol
         if len(_memo) > _MEMO_SIZE:

@@ -29,7 +29,8 @@ from conforminv import (
     reduced_modulus_slit_disk,
     winding_inside,
 )
-from conforminv.invariants import _domain_mask
+from conforminv.curves import _boundary_sums
+from conforminv.invariants import _admissible
 
 PI = np.pi
 
@@ -191,7 +192,8 @@ def _interior_points(curve, rng, count):
     while len(pts) < count:
         z = (rng.uniform(xs.min(), xs.max(), 256)
              + 1j * rng.uniform(ys.min(), ys.max(), 256))
-        pts.extend(z[_domain_mask(curve, z)])
+        inside, _, _, clearance = _boundary_sums(curve, z)
+        pts.extend(z[_admissible(curve, inside, clearance)])
     return np.array(pts[:count])
 
 

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from conforminv.exact import (agm, crowding_estimate, crowding_r_of_theta2,
-                              crowding_theta2_of_r, ellip_k, mu, mu_inv,
-                              oracle_quad_r, oracle_reduced_modulus)
+from conforminv.exact import (agm, crowding_r_of_theta2, crowding_theta2_of_r, ellip_k,
+                              mu, mu_inv, oracle_quad_r, oracle_reduced_modulus)
 
 HALF_PI = math.pi / 2.0
 
@@ -136,17 +135,6 @@ def test_crowding_roundtrip():
     assert abs(crowding_r_of_theta2(math.pi) - 1.0) < 1e-14
 
 
-def test_crowding_estimate_tracks_exact():
-    # the fit targets the crowding regime, so measure the error relative
-    # to the distance from the asymptote it approximates
-    for r in (2.0, 2.5, 3.0, 4.0):
-        gap = 3.0 * HALF_PI - crowding_theta2_of_r(r)
-        assert abs(crowding_estimate(r) - crowding_theta2_of_r(r)) < 0.02 * gap
-    for r in (0.5, 1.0 / 3.0):
-        gap = crowding_theta2_of_r(r) - HALF_PI
-        assert abs(crowding_estimate(r) - crowding_theta2_of_r(r)) < 0.02 * gap
-
-
 def test_crowding_extreme_r_hits_asymptote():
     # by r = 12 the symmetric configuration has collapsed to within a few
     # ulps of theta2 = 3 pi / 2 (this is the crowding phenomenon)
@@ -161,5 +149,3 @@ def test_crowding_validation():
         crowding_r_of_theta2(HALF_PI)
     with pytest.raises(ValueError):
         crowding_theta2_of_r(0.0)
-    with pytest.raises(ValueError):
-        crowding_estimate(-1.0)

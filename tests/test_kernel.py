@@ -6,16 +6,20 @@ functions whose densities are known exactly.
 
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conforminv import kernel
-from conforminv.curves import (make_amoeba, make_ellipse, make_polygon,
+from conforminv import QuadConfig, kernel, map_bounded, quad_modulus
+from conforminv.curves import (make_amoeba, make_ellipse, make_polygon, make_rectangle,
                                spectral_derivative)
-from conforminv.kernel import (ConvergenceError, SolveConfig, _assemble, _circulant,
-                               _cot_row, apply_M, bounded_context, conjugate_periodic,
-                               solve_neumann_system, unbounded_context)
+from conforminv.diskmap import _map_rectangle
+from conforminv.kernel import (ConvergenceError, GnkSolution, SolveConfig, _assemble,
+                               _circulant, _cot_row, _rectangle_context, _rectangle_fold,
+                               _residual_longdouble, _solve_dense, apply_M,
+                               bounded_context, conjugate_periodic, solve_neumann_system,
+                               unbounded_context)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -330,3 +334,164 @@ def test_solution_is_read_only(circle):
         sol.rho[0] = 1.0
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.h = 0.0
+
+
+# ----------------------------------------------- extended-precision refinement
+
+def _breakdown_system(n=8):
+    """(A, b, x0) for (I - A) x = b, A = I / 2, on which GMRES fails exactly.
+
+    With b = e_0 + b' (b'_0 = 0) and x0 = 2 b' + 2^60 e_0, the residual
+    b - x0 / 2 = (1 - 2^59) e_0 rounds to -2^59 e_0, so GMRES breaks down
+    after one step. Its update 2^60 - 2^60 cancels the whole of x_0, whose
+    exact value is 2: the true residual is exactly e_0, on every IEEE
+    machine, and one correction step removes it exactly.
+    """
+    A = 0.5 * np.eye(n)
+    b = np.zeros(n)
+    b[0] = 1.0
+    b[1:] = 1.0 / np.arange(2, n + 1)
+    x0 = 2.0 * b
+    x0[0] = 2.0 ** 60
+    return A, b, x0
+
+
+def test_refinement_repairs_a_failed_gmres_pass():
+    A, b, x0 = _breakdown_system()
+    x, iters, refine, residual = _solve_dense(A, b, 1.0, x0, SolveConfig())
+    assert (iters, refine) == (1, 1)
+    assert residual == 0.0
+    assert np.array_equal(x, 2.0 * b)
+
+
+def test_refinement_counts_against_max_iters():
+    # the failed pass used the whole budget of one iteration: no correction
+    A, b, x0 = _breakdown_system()
+    with pytest.raises(ConvergenceError) as err:
+        _solve_dense(A, b, 1.0, x0, SolveConfig(max_iters=1))
+    assert err.value.residual == 1.0 / np.linalg.norm(b)
+    _, iters, refine, _ = _solve_dense(A, b, 1.0, x0, SolveConfig(max_iters=2))
+    assert iters + refine == 2
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is float64 here")
+def test_longdouble_residual_is_exact_to_float64(circle, monkeypatch):
+    ctx = bounded_context(circle(16), 0.3 + 0.2j)
+    N, _ = ctx.matrices()
+    w = ctx.curve.weight
+    x = np.cos(3.0 * ctx.curve.t)
+    b = x - w * (N @ x)  # float64 rounding leaves a residual of order eps
+    exact = [Fraction(bi) - Fraction(xi) + Fraction(w) * sum(
+        Fraction(a) * Fraction(xj) for a, xj in zip(row, x)) for row, bi, xi in zip(N, b, x)]
+    for block in (1, 7, 16):  # the same values whatever the row blocks
+        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", block * 16)
+        r = _residual_longdouble(N, w, x, b)
+        assert max(abs(float(ri - e)) for ri, e in zip(r, exact)) <= 1e-18
+
+
+def test_solve_below_the_gmres_floor_passes():
+    # at gmres_tol 5e-16 the first GMRES pass on this ellipse can end a
+    # hair above the tolerance; the correction then takes the residual
+    # well below it. Either way the solve passes, and a memo hit reports
+    # the stored counts.
+    curve = make_ellipse(1.0, 0.4, 256, "interior")
+    ctx = bounded_context(curve, 0.1 + 0.05j)
+    gamma = -np.log(np.abs(ctx.A))
+    cfg = SolveConfig(gmres_tol=5e-16)
+    sol = solve_neumann_system(ctx, gamma, cfg)
+    assert sol.residual <= 5e-16
+    assert sol.gmres_iters + sol.refine_iters <= cfg.max_iters
+    assert solve_neumann_system(ctx, gamma, cfg) is sol
+    default = solve_neumann_system(ctx, gamma)
+    assert np.max(np.abs(sol.rho - default.rho)) <= 1e-13
+
+
+def test_solution_record_defaults():
+    sol = GnkSolution(rho=np.zeros(4), h=0.0, h_spread=0.0, gmres_iters=0, residual=0.0)
+    assert sol.refine_iters == 0 and sol.folded is False
+
+
+# ------------------------------------------------------------ rectangle fold
+
+@pytest.mark.parametrize("n_s", [8, 9, 64])
+def test_rectangle_reflections_map_nodes_onto_nodes(n_s):
+    r = 1.3
+    eta = make_rectangle(r, n_s).eta
+    n = eta.size
+    fold = _rectangle_fold(n)
+    i = np.arange(n)
+    s1, s2 = (n_s - i) % n, (3 * n_s - i) % n
+    ulp = np.finfo(float).eps
+    # sigma1 is x -> 1 - x, sigma2 is y -> r - y
+    assert np.max(np.abs(eta[s1] - (1.0 - eta.conj()))) <= 4 * ulp
+    assert np.max(np.abs(eta[s2] - (eta.conj() + 1j * r))) <= 4 * ulp * r
+    assert np.array_equal(fold.s1, s1[fold.q]) and np.array_equal(fold.s2, s2[fold.q])
+    assert np.array_equal(fold.s12, s1[s2[fold.q]])
+    # they fix exactly the side midpoints, nodes only for even n_s
+    assert np.array_equal(fold.fixed, i[(s1 == i) | (s2 == i)])
+    mids = [0.5, 1.0 + 0.5j * r, 0.5 + 1j * r, 0.5j * r] if n_s % 2 == 0 else []
+    assert np.allclose(eta[fold.fixed], mids, rtol=0.0, atol=4 * ulp * r)
+    # q, its three images and the fixed nodes partition the nodes
+    parts = np.concatenate((fold.q, fold.s1, fold.s2, fold.s12, fold.fixed))
+    assert np.array_equal(np.sort(parts), i)
+    assert np.array_equal(fold.rows, np.concatenate((fold.q, fold.fixed)))
+
+
+def test_row_assembly_keeps_the_full_bits(monkeypatch):
+    ctx = bounded_context(make_rectangle(1.3, 64), 0.5 + 0.65j)
+    rows = _rectangle_fold(ctx.n).rows
+    N, M1 = ctx.matrices()
+    for block in (1, 7, rows.size):
+        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", block * ctx.n)
+        Nr, Mr = _assemble(ctx, rows)
+        assert np.array_equal(Nr, N[rows]) and np.array_equal(Mr, M1[rows])
+
+
+@pytest.mark.parametrize("n_s", [64, 256])
+@pytest.mark.parametrize("r", [0.27, 1.0, 1.3, 5.0])
+def test_folded_solve_matches_full(r, n_s):
+    curve = make_rectangle(r, n_s)
+    alpha = 0.5 * (1.0 + 1j * r)
+    gamma = -np.log(np.abs(curve.eta - alpha))
+    full = solve_neumann_system(bounded_context(curve, alpha), gamma)
+    ctx = _rectangle_context(curve, alpha)
+    folded = solve_neumann_system(ctx, gamma)
+    assert folded.folded and not full.folded
+    assert ctx.matrices()[0].shape == (n_s + 3, 4 * n_s)
+    assert np.max(np.abs(folded.rho - full.rho)) <= 1e-13
+    assert abs(folded.h - full.h) <= 1e-13
+    assert abs(folded.h_spread - full.h_spread) <= 1e-13
+    assert abs(folded.gmres_iters - full.gmres_iters) <= 1
+    # the warm start is restricted to the unknowns
+    warm = solve_neumann_system(ctx, gamma, x0=full.rho)
+    assert warm.folded and np.max(np.abs(warm.rho - full.rho)) <= 1e-13
+
+
+def test_memo_keeps_folded_and_full_solves_apart(assemblies):
+    # the first step of the rectangle iteration (r = 1) has no x0, so its
+    # folded solve is memoized; the same rectangle mapped in full must miss
+    quad_modulus(-1.0 + 0.0j, -1.0j, 1.0 + 0.0j, 1.0j, cfg=QuadConfig(n_s=64))
+    calls = len(assemblies)
+    curve, alpha = make_rectangle(1.0, 64), 0.5 + 0.5j
+    full = map_bounded(curve, alpha).solution
+    assert not full.folded and len(assemblies) == calls + 1
+    folded = _map_rectangle(curve, alpha, None).solution
+    assert folded.folded and len(assemblies) == calls + 1
+    assert map_bounded(curve, alpha).solution is full
+
+
+def test_rectangle_context_with_any_gamma_takes_the_full_path():
+    # gamma = x is odd under x -> 1 - x, so no fold could represent its solution
+    curve = make_rectangle(1.3, 64)
+    ctx = bounded_context(curve, 0.5 + 0.65j)
+    gamma = curve.eta.real
+    sol = solve_neumann_system(ctx, gamma)
+    N, M1 = ctx.matrices()
+    n, w = curve.n, curve.weight
+    rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
+    rho = np.linalg.solve(np.eye(n) - w * N, rhs)
+    h = np.mean(0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma)))
+    assert not sol.folded
+    np.testing.assert_allclose(sol.rho, rho, atol=1e-12)
+    assert abs(sol.h - h) < 1e-13
