@@ -190,6 +190,8 @@ def _redmod_sweep(args, desc) -> int:
     # linspace lands exactly on stop; arange can overshoot by an ulp,
     # which matters when stop sits on an oracle's domain boundary
     count = int(round((stop - start) / step)) + 1
+    if count < 1:
+        raise ValueError("sweep range is empty")
     values = np.linspace(start, stop, count)
     kind = desc["kind"]
     rows = []
@@ -222,6 +224,8 @@ def _redmod_sweep(args, desc) -> int:
 
 def _redmod_ngon_sweep(args) -> int:
     start, stop = (int(v) for v in args.ngon_sweep.split(":"))
+    if stop < start:
+        raise ValueError("ngon sweep range is empty")
     cfg = _solve_cfg(args)
     ns = int(_setting(args.size, {}, "ns", 512))
     p = float(_setting(args.grading_p, {}, "grading_p", 3.0))

@@ -34,9 +34,12 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-# Pairs (target x node) per block of the block-tiled O(n m) passes, here and
-# in kernel assembly: 1 MB of complex temporaries per block, which stays in
-# cache. Sums run along rows, so results do not depend on the block size.
+# Pairs (target x node) per block of the O(n m) passes over the boundary
+# nodes (point location and Cauchy sums, kernel assembly, the long-double
+# residual), read only by _row_blocks: 1 MB of complex temporaries per
+# block, which stays in cache. Sums run along rows, so results do not
+# depend on the block size, save one case: numpy hands the Cauchy product
+# of a one-row block to BLAS as a dot product, which rounds differently.
 _BLOCK_PAIRS = 65_536
 
 
@@ -405,22 +408,34 @@ def spectral_derivative(values: np.ndarray) -> np.ndarray:
     return np.fft.ifft(1j * k * np.fft.fft(values))
 
 
+def _row_blocks(m: int, n: int, eta=None, z=None):
+    """Row blocks of a pass over m targets and n nodes, about _BLOCK_PAIRS pairs each.
+
+    Yields the row slices, or, given the nodes eta and the m targets z,
+    (rows, eta[None, :] - z[rows, None]). This is the one block policy of
+    the O(n m) passes over the boundary nodes; callers reduce along rows.
+    """
+    block = max(1, _BLOCK_PAIRS // n)
+    for start in range(0, m, block):
+        rows = slice(start, min(m, start + block))
+        yield rows if z is None else (rows, eta[None, :] - z[rows, None])
+
+
 def _boundary_sums(curve: BoundaryCurve, z, values=None):
-    """Flat (inside, rows, cauchy, clear) at points z from one block-tiled pass.
+    """Flat (inside, rows, cauchy, clear) at points z from one _row_blocks pass.
 
     rows = w sum_j eta'_j / (eta_j - z), w = 2 pi / n, is 2 pi i times the
     winding number and the Cauchy denominator; cauchy weights the same sum
     by values (None without); clear = min_j |eta_j - z|; inside as in
     winding_inside. A z on a node gets nan sums: outside, as it should be.
+    Each output keeps its bits whatever the row blocks, except that a
+    block of one row gets cauchy's bits for that point alone.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     rows = np.empty(z.shape, dtype=complex)
     cauchy = None if values is None else np.empty(z.shape, dtype=complex)
     clear = np.empty(z.shape, dtype=float)
-    block = max(1, _BLOCK_PAIRS // curve.n)
-    for start in range(0, z.size, block):
-        sl = slice(start, start + block)
-        diff = curve.eta[None, :] - z[sl, None]
+    for sl, diff in _row_blocks(z.size, curve.n, curve.eta, z):
         clear[sl] = np.min(np.abs(diff), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ker = curve.deta[None, :] / diff

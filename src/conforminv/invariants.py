@@ -367,9 +367,8 @@ def _check_circle_quad(points):
     pts = [complex(z) for z in points]
     if len(pts) != 4:
         raise ValueError("need exactly four marked points")
-    for zz in pts:
-        if abs(abs(zz) - 1.0) > 1e-8:
-            raise ValueError("marked points must lie on the unit circle")
+    if not all(abs(abs(zz) - 1.0) <= 1e-8 for zz in pts):  # in positive form, so nan fails
+        raise ValueError("marked points must lie on the unit circle")
     args = np.unwrap([math.atan2(zz.imag, zz.real) for zz in pts], period=TWO_PI)
     if not np.all(np.diff(args) > 0.0) or args[-1] - args[0] >= TWO_PI:
         raise ValueError("marked points must be in counterclockwise order")
@@ -456,7 +455,8 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
     params = np.asarray(params, dtype=float)
     if params.shape != (4,):
         raise ValueError("need exactly four parameter values")
-    if np.any(params < 0.0) or np.any(params >= TWO_PI) or np.any(np.diff(params) <= 0.0):
+    # in positive form, so that nan fails every test
+    if not (np.all(params >= 0.0) and np.all(params < TWO_PI) and np.all(np.diff(params) > 0.0)):
         raise ValueError("parameters must be strictly increasing in [0, 2 pi)")
     dm = map_bounded(curve, _base_point(curve, alpha), cfg.solve)
     idx = np.rint(params / TWO_PI * curve.n).astype(int) % curve.n

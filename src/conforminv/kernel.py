@@ -73,7 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .curves import _BLOCK_PAIRS, BoundaryCurve, winding_inside
+from .curves import BoundaryCurve, _row_blocks, winding_inside
 
 __all__ = [
     "KernelContext",
@@ -240,34 +240,31 @@ def _circulant(row: np.ndarray) -> np.ndarray:
 def _assemble(ctx: KernelContext, rows: np.ndarray | None = None):
     """Dense (N, M1) matrices, or their given rows at full width, in row blocks.
 
-    A block holds about curves._BLOCK_PAIRS entries, so the temporaries
-    stay in cache and peak memory is N and M1 plus a few MB. The
-    cotangent correction is added from a circulant view of one table row;
-    with rows None there is no per-block index array or gather. Each entry
-    and row sum is formed in the same order whatever the block size, and a
-    row has the same bits whichever rows are built.
+    The blocks and their node differences come from curves._row_blocks,
+    so the temporaries stay in cache and peak memory is N and M1 plus a
+    few MB. The cotangent correction is added from a circulant view of one
+    table row; with rows None the blocks are slices of the nodes, with no
+    per-block index array or gather. Each entry and row sum is formed in
+    the same order whatever the block size, and a row has the same bits
+    whichever rows are built.
 
     Diagonals come from the row-sum rule: with weight w = 2 pi / n,
     w * sum_j N[i, j] = -1 and w * sum_j M1[i, j] = 0 exactly.
     """
     cv = ctx.curve
     n = cv.n
-    m = n if rows is None else len(rows)
-    eta = cv.eta
+    z = cv.eta if rows is None else cv.eta[rows]  # where the rows' nodes lie
     col = np.zeros(n, dtype=complex)
     nz = cv.deta != 0.0  # corner columns stay exactly zero
     col[nz] = cv.deta[nz] / (ctx.A[nz] * np.pi)
     cot = _circulant(_cot_row(n) / (2.0 * np.pi))
-    N = np.empty((m, n), dtype=float)
-    M1 = np.empty((m, n), dtype=float)
+    N = np.empty((z.size, n), dtype=float)
+    M1 = np.empty((z.size, n), dtype=float)
     inv_w = n / (2.0 * np.pi)
-    block = max(1, min(m, _BLOCK_PAIRS // n))
-    for r0 in range(0, m, block):
-        out = slice(r0, min(m, r0 + block))
-        src = out if rows is None else rows[out]  # the nodes of these rows
+    for out, diff in _row_blocks(z.size, n, cv.eta, z):
+        src = out if rows is None else rows[out]  # the indices of these rows' nodes
         Nb, Mb = N[out], M1[out]
         diag = (np.arange(Nb.shape[0]), np.arange(n)[src])
-        diff = eta[None, :] - eta[src, None]
         diff[diag] = 1.0  # placeholder, diagonal set below
         kblock = (ctx.A[src, None] / diff) * col[None, :]
         Nb[...] = kblock.imag
@@ -354,9 +351,7 @@ def _residual_longdouble(A: np.ndarray, w: float, x: np.ndarray, b: np.ndarray):
     xl = x.astype(np.longdouble)
     wl = np.longdouble(w)
     r = np.empty(b.shape, dtype=np.longdouble)
-    block = max(1, _BLOCK_PAIRS // A.shape[1])
-    for r0 in range(0, A.shape[0], block):
-        sl = slice(r0, r0 + block)
+    for sl in _row_blocks(*A.shape):
         r[sl] = b[sl] - (xl[sl] - wl * (A[sl].astype(np.longdouble) @ xl))
     return r.astype(float)
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,14 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["redmod", "{E}", "--sweep", "0.1:1:0"],
     ["redmod", "{E}", "--sweep", "0.1:1:nan"],
     ["redmod", "{E}", "--sweep", "0.1:inf:0.1"],
+    # sweep ranges that hold no value
+    ["redmod", "{E}", "--sweep", "1:0.9:0.1"],
+    ["redmod", "{E}", "--sweep", "1:0.5:0.1"],
+    ["redmod", "--ngon-sweep", "5:3"],
+    # nan marked points or parameters
+    ["quadmod", "{L}", "--params", "nan,1,2,3"],
+    ["quadmod", "--angles-pi=nan,0.5,1,1.5"],
+    ["quadmod", "--points", "nan,1j,-1,-1j"],
     # base points outside the domain or not finite
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "10"],
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "nan"],
@@ -298,6 +307,26 @@ def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellips
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["redmod", "{E}", "--sweep", "1:0.9:0.1"], "sweep range is empty"),
+    (["redmod", "{E}", "--sweep", "1:0.5:0.1"], "sweep range is empty"),
+    (["redmod", "--ngon-sweep", "5:3"], "ngon sweep range is empty"),
+    (["quadmod", "{L}", "--params", "nan,1,2,3"], "strictly increasing"),
+    (["quadmod", "--angles-pi=nan,0.5,1,1.5"], "must lie on the unit circle"),
+    (["quadmod", "--points", "nan,1j,-1,-1j"], "must lie on the unit circle"),
+])
+def test_empty_ranges_and_nan_points_name_the_fault(argv, message, lshape_json,
+                                                    ellipse_json, capsys):
+    # nan fails every comparison, and an empty range used to print a bare
+    # CSV header with exit 0 or numpy's own message
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main([a.format(L=lshape_json, E=ellipse_json) for a in argv])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("desc", [

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conforminv.curves import (BoundaryCurve, boundary_clearance, make_amoeba,
-                               make_circular_arc_polygon, make_ellipse,
+from conforminv import curves
+from conforminv.curves import (BoundaryCurve, _boundary_sums, boundary_clearance,
+                               make_amoeba, make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk, make_polygon,
                                make_rectangle, node_spacing_scale,
                                spectral_derivative, winding_inside,
@@ -298,6 +299,38 @@ def test_clearance_and_spacing():
     assert abs(boundary_clearance(cv, 0.0 + 0.0j)[0] - 1.0) < 1e-12
     scale = node_spacing_scale(cv)
     assert 0.0 < scale < 0.1
+
+
+L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+
+
+@pytest.mark.parametrize("cv, z", [
+    # grid points such as the corner 1 + i sit on nodes, so their sums are nan
+    (make_polygon(L_VERTICES, 32),
+     (np.linspace(-1, 6, 15)[None, :] + 1j * np.linspace(-1, 4, 11)[:, None]).ravel()),
+    (make_ellipse(1.0, 0.5, 64, "exterior"),
+     (np.linspace(-2, 2, 10)[None, :] + 1j * np.linspace(-1.5, 1.5, 9)[:, None]).ravel()),
+], ids=["L-grid", "ellipse-exterior"])
+def test_boundary_sums_bits_independent_of_block_size(cv, z, monkeypatch):
+    # one row, a row count that divides neither the point nor the node
+    # count, and all rows give the same bits. The one exception: numpy
+    # hands a one-row Cauchy product to BLAS as a dot product, which rounds
+    # unlike the matrix-vector product, so there each point gets the bits
+    # it gets when evaluated alone
+    assert z.size % 7 and cv.n % 7
+    values = np.cos(3.0 * cv.t) + 1j * cv.eta
+    results = {}
+    for rows in (1, 7, z.size):
+        monkeypatch.setattr(curves, "_BLOCK_PAIRS", rows * cv.n)
+        results[rows] = _boundary_sums(cv, z, values)
+    alone = np.concatenate([_boundary_sums(cv, zk, values)[2] for zk in z])
+    for rows, out in results.items():
+        for k, (got, want) in enumerate(zip(out, results[z.size])):
+            if k == 2 and rows == 1:
+                want = alone
+            assert np.array_equal(got, want, equal_nan=True)
+    if cv.orientation == "ccw":
+        assert np.isnan(results[1][1]).any()
 
 
 def test_curve_arrays_are_frozen():

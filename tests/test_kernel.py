@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conforminv import QuadConfig, kernel, map_bounded, quad_modulus
+from conforminv import QuadConfig, curves, kernel, map_bounded, quad_modulus
 from conforminv.curves import (make_amoeba, make_ellipse, make_polygon, make_rectangle,
                                spectral_derivative)
 from conforminv.diskmap import _map_rectangle
@@ -144,7 +144,7 @@ def test_assembly_bits_independent_of_block_size(build, monkeypatch):
     assert n % 7 != 0
     results = []
     for rows in (1, 7, n):
-        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", rows * n)
+        monkeypatch.setattr(curves, "_BLOCK_PAIRS", rows * n)
         results.append(_assemble(ctx))
     for N, M1 in results[1:]:
         assert np.array_equal(N, results[0][0])
@@ -385,7 +385,7 @@ def test_longdouble_residual_is_exact_to_float64(circle, monkeypatch):
     exact = [Fraction(bi) - Fraction(xi) + Fraction(w) * sum(
         Fraction(a) * Fraction(xj) for a, xj in zip(row, x)) for row, bi, xi in zip(N, b, x)]
     for block in (1, 7, 16):  # the same values whatever the row blocks
-        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", block * 16)
+        monkeypatch.setattr(curves, "_BLOCK_PAIRS", block * 16)
         r = _residual_longdouble(N, w, x, b)
         assert max(abs(float(ri - e)) for ri, e in zip(r, exact)) <= 1e-18
 
@@ -443,7 +443,7 @@ def test_row_assembly_keeps_the_full_bits(monkeypatch):
     rows = _rectangle_fold(ctx.n).rows
     N, M1 = ctx.matrices()
     for block in (1, 7, rows.size):
-        monkeypatch.setattr(kernel, "_BLOCK_PAIRS", block * ctx.n)
+        monkeypatch.setattr(curves, "_BLOCK_PAIRS", block * ctx.n)
         Nr, Mr = _assemble(ctx, rows)
         assert np.array_equal(Nr, N[rows]) and np.array_equal(Mr, M1[rows])
 

@@ -1,5 +1,7 @@
 """Rectangle iteration for the conformal modulus of quadrilaterals."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,10 @@ def test_marked_point_validation():
     good = [np.exp(1j * a) for a in (0.1, 1.0, 2.0, 3.0)]
     with pytest.raises(ValueError):  # off the circle
         quad_modulus(0.5 + 0.0j, *good[1:])
+    for k in range(4):  # nan fails every comparison, the circle test too
+        pts = good[:k] + [complex(np.nan, 0.0)] + good[k + 1:]
+        with pytest.raises(ValueError, match="must lie on the unit circle"):
+            quad_modulus(*pts)
     with pytest.raises(ValueError):  # not counterclockwise
         quad_modulus(good[0], good[2], good[1], good[3])
 
@@ -99,6 +105,17 @@ def test_general_domain_validation():
         quad_modulus_general(curve, [0.0, 1e-9, 1.0, 2.0])
     with pytest.raises(ValueError):  # alpha outside
         quad_modulus_general(curve, [0.0, 1.0, 2.0, 3.0], alpha=5.0 + 0.0j)
+
+
+@pytest.mark.parametrize("params", [[np.nan, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 3.0]])
+def test_nan_parameters_refused_before_the_disk_map(params, assemblies):
+    # nan fails every comparison, so it must fail the checks in positive
+    # form, before a solve and before a warning from the cast to node indices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="strictly increasing"):
+            quad_modulus_general(make_rectangle(1.0, 32), params)
+    assert assemblies == []
 
 
 def test_nonconvergence_reported_not_raised():
