@@ -1,12 +1,22 @@
 """Command-line front end.
 
-Subcommands
------------
-hypdist   hyperbolic distance between two points, or a masked grid field
-redmod    reduced modulus, with optional oracle comparison sweeps
-confrad   conformal radius
-harm      harmonic measure of a boundary side at points or on a grid
-quadmod   quadrilateral modulus via the rectangle iteration
+Subcommands and their modes; the modes of one subcommand exclude each other
+---------------------------------------------------------------------------
+hypdist DOMAIN --z1 Z (--z2 Z | --grid G --out FILE [--format csv|json])
+    hyperbolic distance between two points, or a masked grid field
+harm DOMAIN [--side K | --sum] (--z Z | --grid G --out FILE [--format csv|json])
+    harmonic measure of one boundary side, or of all, at a point or on a grid
+redmod DOMAIN [--base B]
+    reduced modulus
+redmod DOMAIN --sweep START:STOP:STEP [--out FILE]
+    reduced modulus against its oracle over an ellipse or slit-disk family
+redmod --ngon-sweep LMIN:LMAX [--out FILE]
+    reduced modulus of regular polygons inscribed in the unit circle, base 0
+confrad DOMAIN [--base B]
+    conformal radius
+quadmod (--angles-pi T1,T2,T3,T4 [--oracle] | --points P1,P2,P3,P4
+         | DOMAIN --params S1,S2,S3,S4 [--alpha A])
+    quadrilateral modulus via the rectangle iteration
 
 Domains are JSON files such as
 
@@ -19,7 +29,7 @@ Domains are JSON files such as
     {"kind": "opened_slit", "case": "G2", "r": 0.5, "a": 0.0, "ns": 512}
 
 Complex values on the command line accept either "1+4j" or "1+4i".
-Exit codes: 0 success, 2 validation error, 3 solver failure,
+Exit codes: 0 success, 2 validation or usage error, 3 solver failure,
 4 quadrilateral iteration did not converge.
 """
 
@@ -43,7 +53,6 @@ from .curves import (
 )
 from .exact import oracle_quad_r, oracle_reduced_modulus
 from .invariants import (
-    _SLIT_BASE_IMAGE,
     GridSpec,
     QuadConfig,
     conformal_radius,
@@ -55,6 +64,7 @@ from .invariants import (
     quad_modulus,
     quad_modulus_general,
     reduced_modulus,
+    reduced_modulus_slit_disk,
 )
 from .kernel import ConvergenceError, SolveConfig
 
@@ -89,6 +99,41 @@ def _parse_grid(text: str) -> GridSpec:
     return GridSpec(xmin, xmax, ymin, ymax, nx, ny)
 
 
+def _parse_four(text: str, parse=float) -> list:
+    """Four comma-separated values, each read by `parse`."""
+    values = [parse(v) for v in text.split(",")]
+    if len(values) != 4:
+        raise ValueError("needs four comma-separated values")
+    return values
+
+
+def _parse_sweep(text: str) -> list[float]:
+    start, stop, step = (float(v) for v in text.split(":"))
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step == 0.0:
+        raise ValueError("sweep needs finite values and a nonzero step")
+    # linspace lands exactly on stop; arange can overshoot by an ulp,
+    # which matters when stop sits on an oracle's domain boundary
+    count = int(round((stop - start) / step)) + 1
+    return [float(r) for r in np.linspace(start, stop, max(count, 0))]
+
+
+def _parse_ngon_sweep(text: str) -> range:
+    start, stop = (int(v) for v in text.split(":"))
+    if stop < start:
+        raise ValueError("ngon sweep range is empty")
+    return range(start, stop + 1)
+
+
+def _arg(parse):
+    """An argparse type from a parser: its ValueError is reported with the flag."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def _setting(value, desc: dict, key: str, default=None):
     """A command-line override unless it is None, else the domain file's field.
 
@@ -107,22 +152,18 @@ def _read_domain(path: str) -> dict:
         return json.load(fh)
 
 
-def load_domain(path: str, size: int | None = None, grading_p: float | None = None):
-    """Build the BoundaryCurve described by a JSON domain file.
-
-    `size` overrides the file's n (smooth kinds) or ns (panelled kinds).
-    Returns (curve, description dict) so callers can inspect family parameters.
-    """
-    desc = _read_domain(path)
-    return _build_domain(desc, size, grading_p), desc
+def _curve(args):
+    """The BoundaryCurve of the DOMAIN file, with the --ns/--grading-p overrides."""
+    return _build_domain(_read_domain(args.domain), args)
 
 
-def _build_domain(desc: dict, size: int | None, grading_p: float | None):
+def _build_domain(desc: dict, args):
     kind = desc.get("kind")
-    p = float(_setting(grading_p, desc, "grading_p", 3.0))
+    p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
 
     def count(key, default=None):
-        return int(_setting(size, desc, key, default))
+        # --ns overrides the file's n (smooth kinds) or ns (panelled kinds)
+        return int(_setting(args.size, desc, key, default))
 
     if kind == "polygon":
         vertices = [_as_complex(v) for v in desc["vertices"]]
@@ -149,13 +190,6 @@ def _solve_cfg(args) -> SolveConfig:
     return SolveConfig(gmres_tol=args.gmres_tol, max_iters=args.max_gmres)
 
 
-def _emit_field(field, out: str, fmt: str):
-    if fmt == "json":
-        field.write_json(out)
-    else:
-        field.write_csv(out)
-
-
 def _print_scalar(value: float):
     print(f"{value:.15g}")
 
@@ -166,131 +200,112 @@ def _write_lines(lines, path: str | None):
         print("\n".join(lines), file=fh)
 
 
-def cmd_hypdist(args) -> int:
-    curve, _ = load_domain(args.domain, args.size, args.grading_p)
-    z1 = _parse_complex(args.z1)
-    alpha = _parse_complex(args.alpha) if args.alpha else z1
-    cfg = _solve_cfg(args)
-    if args.grid:
-        if not args.out:
-            raise ValueError("--grid mode needs --out")
-        field = hyperbolic_distance_field(curve, alpha, z1, _parse_grid(args.grid), cfg=cfg)
-        _emit_field(field, args.out, args.format)
-        return 0
-    if args.z2 is None:
-        raise ValueError("either --z2 or --grid is required")
-    _print_scalar(hyperbolic_distance(curve, alpha, z1, _parse_complex(args.z2), cfg=cfg))
-    return 0
+def _check_grid_options(args) -> None:
+    if (args.grid is None) != (args.out is None):
+        raise ValueError("--out goes with --grid mode, and only with it")
+    if args.grid is None and args.format is not None:
+        raise ValueError("--format applies to --grid mode")
 
 
-def _redmod_sweep(args, desc) -> int:
-    start, stop, step = (float(v) for v in args.sweep.split(":"))
-    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)) or step == 0.0:
-        raise ValueError("sweep needs finite values and a nonzero step")
-    # linspace lands exactly on stop; arange can overshoot by an ulp,
-    # which matters when stop sits on an oracle's domain boundary
-    count = int(round((stop - start) / step)) + 1
-    if count < 1:
+def _write_grid(args, field, *leading) -> None:
+    """Evaluate field(*leading, grid, cfg=...) on --grid and write it to --out."""
+    result = field(*leading, args.grid, cfg=_solve_cfg(args))
+    (result.write_json if args.format == "json" else result.write_csv)(args.out)
+
+
+def cmd_hypdist(args) -> None:
+    _check_grid_options(args)
+    curve = _curve(args)
+    alpha = args.z1 if args.alpha is None else args.alpha
+    if args.grid is not None:
+        return _write_grid(args, hyperbolic_distance_field, curve, alpha, args.z1)
+    _print_scalar(hyperbolic_distance(curve, alpha, args.z1, args.z2, cfg=_solve_cfg(args)))
+
+
+def _slit_modulus(args, desc: dict, r: float, cfg: SolveConfig) -> float:
+    return reduced_modulus_slit_disk(desc["case"], r, float(desc.get("a", 0.0)),
+                                     n_s=int(_setting(args.size, desc, "ns", 512)),
+                                     p=float(_setting(args.grading_p, desc, "grading_p", 3.0)),
+                                     cfg=cfg)
+
+
+def _redmod_sweep(args, desc: dict) -> None:
+    kind, cfg = desc["kind"], _solve_cfg(args)
+    if kind == "opened_slit":
+        case, a = desc["case"], float(desc.get("a", 0.0))
+        values = [r for r in args.sweep if r > a]
+    elif kind == "ellipse":
+        side = desc.get("side", "interior")
+        case, a, values = f"ellipse_{side}", 0.0, args.sweep
+    else:
+        raise ValueError(f"no oracle sweep for domain kind {kind!r}")
+    if not values:
         raise ValueError("sweep range is empty")
-    values = np.linspace(start, stop, count)
-    kind = desc["kind"]
-    rows = []
-    cfg = _solve_cfg(args)
-    for r in values:
-        r = float(r)
-        if kind == "opened_slit":
-            a = float(desc.get("a", 0.0))
-            if r <= a:
-                continue
-            m = _redmod(args, dict(desc, r=r), cfg)
-            exact = oracle_reduced_modulus(desc["case"], r, a)
-        elif kind == "ellipse" and desc.get("side", "interior") == "exterior":
-            curve = make_ellipse(1.0, r, int(_setting(args.size, desc, "n")), "exterior")
-            m = reduced_modulus(curve, base=None, cfg=cfg)
-            exact = oracle_reduced_modulus("ellipse_exterior", r)
-        elif kind == "ellipse":
-            curve = make_ellipse(float(np.cosh(r)), float(np.sinh(r)),
-                                 int(_setting(args.size, desc, "n")), "interior")
-            m = reduced_modulus(curve, base=0.0, cfg=cfg)
-            exact = oracle_reduced_modulus("ellipse_interior", r)
-        else:
-            raise ValueError(f"no oracle sweep for domain kind {kind!r}")
-        rows.append((r, m, exact, abs(m - exact)))
+    # the oracle refuses a parameter out of range before anything is solved
+    exact = [oracle_reduced_modulus(case, r, a) for r in values]
     lines = ["parameter,computed,exact,abs_error"]
-    lines += [f"{r:.15g},{m:.15g},{e:.15g},{d:.15g}" for r, m, e, d in rows]
+    for r, e in zip(values, exact):
+        if kind == "opened_slit":
+            m = _slit_modulus(args, desc, r, cfg)
+        else:
+            exterior = side == "exterior"
+            semiaxes = (1.0, r) if exterior else (float(np.cosh(r)), float(np.sinh(r)))
+            curve = _build_domain(dict(desc, a=semiaxes[0], b=semiaxes[1]), args)
+            m = reduced_modulus(curve, base=None if exterior else 0.0, cfg=cfg)
+        lines.append(f"{r:.15g},{m:.15g},{e:.15g},{abs(m - e):.15g}")
     _write_lines(lines, args.out)
-    return 0
 
 
-def _redmod_ngon_sweep(args) -> int:
-    start, stop = (int(v) for v in args.ngon_sweep.split(":"))
-    if stop < start:
-        raise ValueError("ngon sweep range is empty")
+def _redmod_ngon_sweep(args) -> None:
     cfg = _solve_cfg(args)
     ns = int(_setting(args.size, {}, "ns", 512))
     p = float(_setting(args.grading_p, {}, "grading_p", 3.0))
     lines = ["parameter,computed"]
-    for ell in range(start, stop + 1):
+    for ell in args.ngon_sweep:
         vertices = np.exp(2j * np.pi * np.arange(ell) / ell)
         curve = make_polygon(list(vertices), ns, p=p)
         m = reduced_modulus(curve, base=0.0, cfg=cfg)
         lines.append(f"{ell},{m:.15g}")
     _write_lines(lines, args.out)
-    return 0
 
 
-def _redmod(args, desc: dict, cfg: SolveConfig) -> float:
-    """Reduced modulus of a domain description; an opened slit disk uses its family's base."""
-    if desc["kind"] == "opened_slit" and args.base:
-        raise ValueError("an opened slit disk uses its family's base point")
-    curve = _build_domain(desc, args.size, args.grading_p)
-    if desc["kind"] == "opened_slit":
-        base = _SLIT_BASE_IMAGE[desc["case"]](float(desc["r"]), float(desc.get("a", 0.0)))
-    else:
-        base = _parse_complex(args.base) if args.base else None
-    return reduced_modulus(curve, base=base, cfg=cfg)
-
-
-def cmd_redmod(args) -> int:
-    if args.ngon_sweep:
+def cmd_redmod(args) -> None:
+    if args.ngon_sweep is not None:
+        if args.domain or args.base is not None:
+            raise ValueError("--ngon-sweep takes no DOMAIN and no --base")
         return _redmod_ngon_sweep(args)
     if not args.domain:
         raise ValueError("redmod needs DOMAIN unless --ngon-sweep is given")
-    desc = _read_domain(args.domain)
-    if args.sweep:
-        return _redmod_sweep(args, desc)
-    _print_scalar(_redmod(args, desc, _solve_cfg(args)))
-    return 0
-
-
-def cmd_confrad(args) -> int:
-    curve, _ = load_domain(args.domain, args.size, args.grading_p)
-    base = _parse_complex(args.base) if args.base else None
-    _print_scalar(conformal_radius(curve, base=base, cfg=_solve_cfg(args)))
-    return 0
-
-
-def cmd_harm(args) -> int:
-    curve, _ = load_domain(args.domain, args.size, args.grading_p)
-    alpha = _parse_complex(args.alpha) if args.alpha else None
-    cfg = _solve_cfg(args)
-
-    if args.grid:
-        if not args.out:
-            raise ValueError("--grid mode needs --out")
-        sides = range(1, len(curve.corners) + 1) if args.sum else [args.side]
-        field = harmonic_measure_field(curve, sides, alpha, _parse_grid(args.grid), cfg=cfg)
-        _emit_field(field, args.out, args.format)
-        return 0
-
-    if args.z is None:
-        raise ValueError("either --z or --grid is required")
-    z = _parse_complex(args.z)
-    if args.sum:
-        _print_scalar(float(harmonic_measure_all(curve, alpha, [z], cfg=cfg).sum()))
+    if args.sweep is not None:
+        if args.base is not None:
+            raise ValueError("--sweep uses each family's base point and takes no --base")
+        return _redmod_sweep(args, _read_domain(args.domain))
+    if args.out is not None:
+        raise ValueError("--out applies to --sweep and --ngon-sweep")
+    desc, cfg = _read_domain(args.domain), _solve_cfg(args)
+    if desc["kind"] == "opened_slit":
+        if args.base is not None:
+            raise ValueError("an opened slit disk uses its family's base point")
+        _print_scalar(_slit_modulus(args, desc, float(desc["r"]), cfg))
     else:
-        _print_scalar(float(harmonic_measure(curve, args.side, alpha, [z], cfg=cfg)[0]))
-    return 0
+        _print_scalar(reduced_modulus(_build_domain(desc, args), base=args.base, cfg=cfg))
+
+
+def cmd_confrad(args) -> None:
+    _print_scalar(conformal_radius(_curve(args), base=args.base, cfg=_solve_cfg(args)))
+
+
+def cmd_harm(args) -> None:
+    _check_grid_options(args)
+    curve = _curve(args)
+    if args.grid is not None:
+        sides = range(1, len(curve.corners) + 1) if args.sum else [args.side]
+        return _write_grid(args, harmonic_measure_field, curve, sides, args.alpha)
+    cfg = _solve_cfg(args)
+    if args.sum:
+        _print_scalar(float(harmonic_measure_all(curve, args.alpha, [args.z], cfg=cfg).sum()))
+    else:
+        _print_scalar(float(harmonic_measure(curve, args.side, args.alpha, [args.z], cfg=cfg)[0]))
 
 
 def _write_quad_trace(trace, path: str):
@@ -306,31 +321,24 @@ def _write_quad_trace(trace, path: str):
     _write_lines(lines, path)
 
 
-def cmd_quadmod(args) -> int:
+def cmd_quadmod(args) -> int | None:
     qcfg = QuadConfig(n_s=int(_setting(args.size, {}, "ns", 512)),
                       grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)),
                       eps=args.quad_eps, max_iter=args.quad_max,
                       solve=_solve_cfg(args))
-    if args.oracle and not args.angles_pi:
+    if args.oracle and args.angles_pi is None:
         raise ValueError("--oracle applies to --angles-pi mode")
-    if args.angles_pi:
-        angles = [np.pi * float(v) for v in args.angles_pi.split(",")]
-        if len(angles) != 4:
-            raise ValueError("--angles-pi needs four comma-separated values")
-        pts = [complex(np.exp(1j * th)) for th in angles]
-        trace = quad_modulus(*pts, cfg=qcfg)
-    elif args.points:
-        pts = [_parse_complex(v) for v in args.points.split(",")]
-        if len(pts) != 4:
-            raise ValueError("--points needs four comma-separated values")
-        trace = quad_modulus(*pts, cfg=qcfg)
+    if args.alpha is not None and args.params is None:
+        raise ValueError("--alpha applies to --params mode")
+    if (args.domain is None) != (args.params is None):
+        raise ValueError("DOMAIN goes with --params mode, and only with it")
+    if args.params is not None:
+        trace = quad_modulus_general(_curve(args), args.params, alpha=args.alpha, cfg=qcfg)
+    elif args.angles_pi is not None:
+        angles = [np.pi * v for v in args.angles_pi]
+        trace = quad_modulus(*(complex(np.exp(1j * th)) for th in angles), cfg=qcfg)
     else:
-        if not args.domain or not args.params:
-            raise ValueError("quadmod needs --angles-pi, --points, or DOMAIN --params")
-        curve, _ = load_domain(args.domain, args.size, args.grading_p)
-        params = [float(v) for v in args.params.split(",")]
-        alpha = _parse_complex(args.alpha) if args.alpha else None
-        trace = quad_modulus_general(curve, params, alpha=alpha, cfg=qcfg)
+        trace = quad_modulus(*args.points, cfg=qcfg)
 
     if args.trace:
         _write_quad_trace(trace, args.trace)
@@ -344,17 +352,21 @@ def cmd_quadmod(args) -> int:
     if not trace.converged:
         print("warning: iteration did not converge", file=sys.stderr)
         return 4
-    return 0
 
 
 def _add_common(sub):
-    sub.add_argument("--ns", "--n", dest="size", type=int, default=None,
+    sub.add_argument("--ns", "--n", dest="size", type=int,
                      help="override the domain file's node count (n or per-side ns)")
-    sub.add_argument("--grading-p", dest="grading_p", type=float, default=None)
-    sub.add_argument("--gmres-tol", dest="gmres_tol", type=float, default=0.5e-14)
-    sub.add_argument("--max-gmres", dest="max_gmres", type=int, default=100)
-    sub.add_argument("--out", default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--grading-p", type=float)
+    sub.add_argument("--gmres-tol", type=float, default=0.5e-14)
+    sub.add_argument("--max-gmres", type=int, default=100)
+
+
+def _add_grid_mode(sub, modes):
+    """--grid in the subcommand's modes, and the --out/--format it writes with."""
+    modes.add_argument("--grid", type=_arg(_parse_grid), help=_GRID_HELP)
+    sub.add_argument("--out", help="output file path (--grid mode)")
+    sub.add_argument("--format", choices=("csv", "json"), help="default: csv")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,59 +374,65 @@ def build_parser() -> argparse.ArgumentParser:
         prog="conforminv",
         description="Conformal invariants of planar simply connected domains.")
     subs = parser.add_subparsers(dest="command", required=True)
+    point = _arg(_parse_complex)
 
     hyp = subs.add_parser("hypdist", help="hyperbolic distance")
     hyp.add_argument("domain")
-    hyp.add_argument("--z1", required=True)
-    hyp.add_argument("--z2", default=None)
-    hyp.add_argument("--alpha", default=None,
-                     help="interior base point for the map (default: z1)")
-    hyp.add_argument("--grid", default=None, help=_GRID_HELP)
+    hyp.add_argument("--z1", type=point, required=True)
+    hyp.add_argument("--alpha", type=point, help="interior base point for the map (default: z1)")
+    modes = hyp.add_mutually_exclusive_group(required=True)
+    modes.add_argument("--z2", type=point)
+    _add_grid_mode(hyp, modes)
     _add_common(hyp)
     hyp.set_defaults(func=cmd_hypdist)
 
     red = subs.add_parser("redmod", help="reduced modulus")
-    red.add_argument("domain", nargs="?", default=None)
-    red.add_argument("--base", default=None)
-    red.add_argument("--sweep", default=None, help='oracle sweep "start:stop:step"')
-    red.add_argument("--ngon-sweep", dest="ngon_sweep", default=None,
-                     help='regular polygon sweep "lmin:lmax", base 0')
+    red.add_argument("domain", nargs="?")
+    red.add_argument("--base", type=point)
+    modes = red.add_mutually_exclusive_group()
+    modes.add_argument("--sweep", type=_arg(_parse_sweep), help='oracle sweep "start:stop:step"')
+    modes.add_argument("--ngon-sweep", type=_arg(_parse_ngon_sweep),
+                       help='regular polygon sweep "lmin:lmax", base 0')
+    red.add_argument("--out", help="sweep output file path (default: stdout)")
     _add_common(red)
     red.set_defaults(func=cmd_redmod)
 
     cra = subs.add_parser("confrad", help="conformal radius")
     cra.add_argument("domain")
-    cra.add_argument("--base", default=None)
+    cra.add_argument("--base", type=point)
     _add_common(cra)
     cra.set_defaults(func=cmd_confrad)
 
     har = subs.add_parser("harm", help="harmonic measure of a boundary side")
     har.add_argument("domain")
-    har.add_argument("--side", type=int, default=1,
-                     help="1-based side index; side k runs from corner k to corner k+1")
-    har.add_argument("--z", default=None)
-    har.add_argument("--alpha", default=None,
+    har.add_argument("--alpha", type=point,
                      help="interior base point for the map (default: the node mean if it "
                           "lies inside, else the grid point farthest from the boundary)")
-    har.add_argument("--grid", default=None, help=_GRID_HELP)
-    har.add_argument("--sum", action="store_true",
-                     help="sum over all sides instead of one side")
+    sides = har.add_mutually_exclusive_group()
+    sides.add_argument("--side", type=int, default=1,
+                       help="1-based side index; side k runs from corner k to corner k+1")
+    sides.add_argument("--sum", action="store_true",
+                       help="sum over all sides instead of one side")
+    modes = har.add_mutually_exclusive_group(required=True)
+    modes.add_argument("--z", type=point)
+    _add_grid_mode(har, modes)
     _add_common(har)
     har.set_defaults(func=cmd_harm)
 
     qua = subs.add_parser("quadmod", help="quadrilateral modulus")
-    qua.add_argument("domain", nargs="?", default=None)
-    qua.add_argument("--angles-pi", dest="angles_pi", default=None,
-                     help='four circle angles as multiples of pi, e.g. "-1,-0.5,0,0.5"')
-    qua.add_argument("--points", default=None,
-                     help="four complex points on the unit circle")
-    qua.add_argument("--params", default=None,
-                     help="four boundary parameter values in [0, 2pi)")
-    qua.add_argument("--alpha", default=None)
+    qua.add_argument("domain", nargs="?", help="domain file (--params mode)")
+    modes = qua.add_mutually_exclusive_group(required=True)
+    modes.add_argument("--angles-pi", type=_arg(_parse_four),
+                       help='four circle angles as multiples of pi, e.g. "-1,-0.5,0,0.5"')
+    modes.add_argument("--points", type=_arg(lambda text: _parse_four(text, _parse_complex)),
+                       help="four complex points on the unit circle")
+    modes.add_argument("--params", type=_arg(_parse_four),
+                       help="four boundary parameter values in [0, 2pi) of DOMAIN")
+    qua.add_argument("--alpha", type=point, help="base point (--params mode)")
     qua.add_argument("--oracle", action="store_true")
-    qua.add_argument("--trace", default=None, help="write iteration trace CSV")
-    qua.add_argument("--quad-eps", dest="quad_eps", type=float, default=0.5e-13)
-    qua.add_argument("--quad-max", dest="quad_max", type=int, default=50)
+    qua.add_argument("--trace", help="write iteration trace CSV")
+    qua.add_argument("--quad-eps", type=float, default=0.5e-13)
+    qua.add_argument("--quad-max", type=int, default=50)
     _add_common(qua)
     qua.set_defaults(func=cmd_quadmod)
 
@@ -422,10 +440,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return exc.code
+    try:
+        return args.func(args) or 0
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

@@ -167,6 +167,28 @@ def test_redmod_sweep(tmp_path):
     assert all(float(r[3]) < 1e-10 for r in rows[1:])
 
 
+@pytest.mark.parametrize("desc, sweep, family, want, tol", [
+    # interior ellipses (cosh r, sinh r), base 0
+    ({"kind": "ellipse", "a": 1.0, "b": 0.5, "n": 512}, "0.2:0.6:0.2",
+     "ellipse_interior", [0.2, 0.4, 0.6], 1e-10),
+    # opened G3 slit disks at a = 0.2: r <= a is skipped, and the coarse
+    # ns = 64 is within the slit families' 1e-6 up to r = 0.5
+    ({"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 64}, "0.1:0.5:0.1",
+     "G3", [0.3, 0.4, 0.5], 1e-6),
+], ids=["ellipse-interior", "slit-G3"])
+def test_redmod_sweep_families(desc, sweep, family, want, tol, tmp_path):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(desc))
+    out = tmp_path / "sweep.csv"
+    assert main(["redmod", str(path), "--sweep", sweep, "--out", str(out)]) == 0
+    rows = list(csv.reader(out.open()))[1:]
+    params = [float(r[0]) for r in rows]
+    assert params == pytest.approx(want)
+    exact = [oracle_reduced_modulus(family, r, desc.get("a", 0.0)) for r in params]
+    assert [float(r[2]) for r in rows] == pytest.approx(exact, rel=1e-14)
+    assert all(abs(float(r[1]) - e) < tol for r, e in zip(rows, exact))
+
+
 def test_redmod_ngon_sweep(tmp_path):
     out = tmp_path / "ngon.csv"
     rc = main(["redmod", "--ngon-sweep", "3:5", "--ns", "128", "--out", str(out)])
@@ -296,6 +318,30 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["redmod", "--sweep", "0.1:1:0.1"],
     # an opened slit disk has its family's base point
     ["redmod", "{G3}", "--ns", "64", "--base", "0.1"],
+    # the modes of one subcommand exclude each other
+    ["hypdist", "{L}", "--z1", "2i", "--z2", "5", "--grid=-1,6,-1,4,5,5", "--out", "{out}"],
+    ["harm", "{path}", "--z", "0", "--grid=-0.9,0.9,-0.9,0.9,7,7", "--out", "{out}"],
+    ["harm", "{path}", "--z", "0", "--side", "2", "--sum"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--points", "1,i,-1,-i"],
+    ["redmod", "{E}", "--sweep", "0.4:0.6:0.2", "--ngon-sweep", "3:4"],
+    # input that the chosen mode would not read
+    ["quadmod", "{L}", "--angles-pi=-1,-0.5,0,0.5"],
+    ["quadmod", "--points", "1,i,-1,-i", "--alpha", "0.5"],
+    ["quadmod", "--params", "0,1.5,3,4.5"],
+    ["redmod", "{E}", "--ngon-sweep", "3:4"],
+    ["redmod", "--ngon-sweep", "3:4", "--base", "0.1"],
+    ["redmod", "{E}", "--sweep", "0.4:0.6:0.2", "--base", "0.3"],
+    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--out", "{out}"],
+    ["harm", "{path}", "--z", "0", "--out", "{out}"],
+    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--format", "json"],
+    ["redmod", "{E}", "--out", "{out}"],
+    # options that a subcommand does not have
+    ["confrad", "{E}", "--out", "{out}"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--format", "json"],
+    ["redmod", "{E}", "--format", "json"],
+    # mode values that do not parse
+    ["quadmod", "--angles-pi=-1,-0.5,0"],
+    ["hypdist", "{path}", "--z1", "zero", "--z2", "0.5"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
                                slit_json, tmp_path, capsys):
@@ -316,17 +362,26 @@ def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellips
     (["quadmod", "{L}", "--params", "nan,1,2,3"], "strictly increasing"),
     (["quadmod", "--angles-pi=nan,0.5,1,1.5"], "must lie on the unit circle"),
     (["quadmod", "--points", "nan,1j,-1,-1j"], "must lie on the unit circle"),
+    # every value lies at or below the slit end a = 0.5
+    (["redmod", "{G3a}", "--sweep", "0.1:0.4:0.1"], "sweep range is empty"),
+    # r = 1.1 is out of the family's range, so r = 0.9 is not solved either
+    (["redmod", "{E}", "--sweep", "0.9:1.1:0.2"], "ellipse_exterior requires 0 < r <= 1"),
 ])
 def test_empty_ranges_and_nan_points_name_the_fault(argv, message, lshape_json,
-                                                    ellipse_json, capsys):
+                                                    ellipse_json, tmp_path, capsys,
+                                                    assemblies):
     # nan fails every comparison, and an empty range used to print a bare
     # CSV header with exit 0 or numpy's own message
+    slit = tmp_path / "G3a.json"
+    slit.write_text(json.dumps(
+        {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.5, "ns": 64}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main([a.format(L=lshape_json, E=ellipse_json) for a in argv])
+        rc = main([a.format(L=lshape_json, E=ellipse_json, G3a=slit) for a in argv])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
     assert message in captured.err
+    assert assemblies == []  # refused before anything is solved
 
 
 @pytest.mark.parametrize("desc", [
@@ -354,6 +409,14 @@ def test_clockwise_arc_chain_is_validation_error(tmp_path, capsys):
     rc = main(["harm", str(path), "--side", "1", "--z", "0.27079613190137286-0.96875i"])
     assert rc == 2
     assert "must run counterclockwise" in capsys.readouterr().err
+
+
+def test_usage_errors_and_help_return_their_exit_codes(capsys):
+    # argparse's own exits come back from main as return codes
+    assert main(["hypdist"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "hypdist" in capsys.readouterr().out
 
 
 def test_unknown_domain_kind(tmp_path, capsys):
