@@ -159,6 +159,8 @@ def _curve(args):
 
 def _build_domain(desc: dict, args):
     kind = desc.get("kind")
+    if kind in ("ellipse", "amoeba") and args.grading_p is not None:
+        raise ValueError(f"--grading-p applies to cornered domains, not to kind {kind!r}")
     p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
 
     def count(key, default=None):
@@ -406,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     har = subs.add_parser("harm", help="harmonic measure of a boundary side")
     har.add_argument("domain")
     har.add_argument("--alpha", type=point,
-                     help="interior base point for the map (default: the node mean if it "
-                          "lies inside, else the grid point farthest from the boundary)")
+                     help="interior base point for the map (default: a rectangle's centre or "
+                          "the node mean, if inside, else the grid point farthest from the edge)")
     sides = har.add_mutually_exclusive_group()
     sides.add_argument("--side", type=int, default=1,
                        help="1-based side index; side k runs from corner k to corner k+1")

@@ -15,7 +15,8 @@ complement. Every builder refuses non-finite curve data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,19 @@ TWO_PI = 2.0 * np.pi
 _BLOCK_PAIRS = 65_536
 
 
+class Mirror(NamedTuple):
+    """A reflection of the curve that sends node i onto node (a - i) mod n.
+
+    It reflects across the line through ``point`` along ``direction``. A
+    curve with two mirrors declares both through their crossing, its
+    symmetry centre.
+    """
+
+    a: int
+    point: complex
+    direction: complex
+
+
 @dataclass(frozen=True)
 class BoundaryCurve:
     """Samples of a closed curve eta(t) on the uniform grid t_j = 2 pi j / n.
@@ -60,6 +74,10 @@ class BoundaryCurve:
         ``"ccw"`` or ``"cw"``.
     corners : tuple of int
         Node indices where the parametrization derivative vanishes.
+    mirrors : tuple of Mirror
+        Mirror symmetries that the builder declares, each sending nodes
+        onto nodes. A disk map whose base lies on one or two of them
+        solves a folded system (see kernel).
     """
 
     n: int
@@ -68,6 +86,7 @@ class BoundaryCurve:
     deta: np.ndarray
     orientation: str = "ccw"
     corners: tuple = field(default_factory=tuple)
+    mirrors: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.orientation not in ("ccw", "cw"):
@@ -88,7 +107,7 @@ def _uniform_t(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
 
 
-def _curve(eta, deta, orientation, corners=()) -> BoundaryCurve:
+def _curve(eta, deta, orientation, corners=(), mirrors=()) -> BoundaryCurve:
     eta = np.ascontiguousarray(eta, dtype=complex)
     deta = np.ascontiguousarray(deta, dtype=complex)
     if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(deta))):
@@ -104,6 +123,7 @@ def _curve(eta, deta, orientation, corners=()) -> BoundaryCurve:
         deta=deta,
         orientation=orientation,
         corners=tuple(int(c) for c in corners),
+        mirrors=tuple(mirrors),
     )
 
 
@@ -135,8 +155,8 @@ def _check_grading(n_s: int, p: float):
         raise ValueError("grading exponent must be at least 2")
 
 
-def _graded(pieces, n_s: int, p: float) -> BoundaryCurve:
-    """Counterclockwise curve of graded pieces, n_s nodes each.
+def _graded(pieces, n_s: int, p: float, mirrors=()) -> BoundaryCurve:
+    """Counterclockwise curve of graded pieces, n_s nodes each, with the given mirrors.
 
     Each piece maps (g, g', scale) to its (eta, deta), where g = _grade(tau)
     on tau = k / n_s, k < n_s, and scale = d tau / d t, since the pieces
@@ -151,7 +171,7 @@ def _graded(pieces, n_s: int, p: float) -> BoundaryCurve:
     nxt = np.roll(eta, -1)
     if np.sum(eta.real * nxt.imag - nxt.real * eta.imag) <= 0.0:
         raise ValueError("the boundary must run counterclockwise")
-    return _curve(eta, deta, "ccw", range(0, eta.size, n_s))
+    return _curve(eta, deta, "ccw", range(0, eta.size, n_s), mirrors)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +184,9 @@ def make_ellipse(a: float, b: float, n: int, kind: str = "interior") -> Boundary
     ``kind="interior"`` gives the counterclockwise curve
     eta(t) = a cos t + i b sin t bounding the inside; ``kind="exterior"``
     gives the clockwise curve eta(t) = a cos t - i b sin t whose domain
-    is the unbounded complement. a = b produces a circle.
+    is the unbounded complement. a = b produces a circle. Both declare
+    the real axis (node i -> -i) and the imaginary axis (i -> n/2 - i) as
+    mirrors.
     """
     # refused before inf * 0 = nan can warn in the samples below
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -184,7 +206,7 @@ def make_ellipse(a: float, b: float, n: int, kind: str = "interior") -> Boundary
         orientation = "cw"
     else:
         raise ValueError("kind must be 'interior' or 'exterior'")
-    return _curve(eta, deta, orientation)
+    return _curve(eta, deta, orientation, mirrors=(Mirror(0, 0j, 1 + 0j), Mirror(n // 2, 0j, 1j)))
 
 
 def make_amoeba(n: int) -> BoundaryCurve:
@@ -307,10 +329,15 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
 
 
 def make_rectangle(r: float, n_s: int, p: float = 3.0) -> BoundaryCurve:
-    """Rectangle with vertices 0, 1, 1 + i r, i r (aspect ratio r > 0)."""
+    """Rectangle with vertices 0, 1, 1 + i r, i r (aspect ratio r > 0).
+
+    Its mirrors are x = 1/2 (node i -> n_s - i) and y = r/2 (i -> 3 n_s - i).
+    """
     if r <= 0.0:
         raise ValueError("aspect ratio must be positive")
-    return make_polygon([0.0, 1.0, 1.0 + 1j * r, 1j * r], n_s, p)
+    centre = 0.5 * (1.0 + 1j * r)
+    return replace(make_polygon([0.0, 1.0, 1.0 + 1j * r, 1j * r], n_s, p),
+                   mirrors=(Mirror(n_s, centre, 1j), Mirror(3 * n_s, centre, 1 + 0j)))
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +389,8 @@ def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
 
     Two graded pieces of n_s nodes each: the straight segment the slit
     sides open into, and the arc the unit circle opens into. Corner nodes
-    sit at the two junctions (indices 0 and n_s).
+    sit at the two junctions (indices 0 and n_s). The real axis is a
+    mirror (node i -> n_s - i).
     """
     _check_grading(n_s, p)
     _check_slit(case, r, a)
@@ -381,12 +409,13 @@ def make_opened_slit_disk(case: str, r: float, a: float = 0.0, n_s: int = 512,
 
     # each segment keeps its own expression: a +-1 factor would flip the
     # sign of the zero at its midpoint node
+    axis = (Mirror(n_s, 0j, 1 + 0j),)
     if case == "G2":  # the arc from theta = 0, then the segment from -i y_top up
         return _graded([arc, lambda g, dg, scale: (1j * y_top * (2.0 * g - 1.0),
-                                                   2.0j * y_top * dg * scale)], n_s, p)
+                                                   2.0j * y_top * dg * scale)], n_s, p, axis)
     # the segment from +i y_top down, then the arc from theta = -pi
     return _graded([lambda g, dg, scale: (1j * y_top * (1.0 - 2.0 * g),
-                                          -2.0j * y_top * dg * scale), arc], n_s, p)
+                                          -2.0j * y_top * dg * scale), arc], n_s, p, axis)
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,12 @@ which sends the bounded domain onto the unit disk with alpha -> 0, and
 the unbounded one onto the exterior of the unit disk with f(infinity) = 0.
 In both cases |Phi| = 1 on the boundary and e^h is the conformal radius.
 
-The quadrilateral iteration maps rectangles from their centres through
-_map_rectangle, the same map solved on the quarter-size system that the
-rectangle's two mirror symmetries leave (see kernel); a solve that ends a
-hair above the GMRES tolerance is refined in long double precision before
-it can fail.
+Folding is a property of the curve and the base: when the base lies
+exactly on mirrors that the curve declares (an ellipse's axes, a
+rectangle's midlines, an opened slit disk's real axis), both maps solve
+the half- or quarter-size system those mirrors leave (see kernel). A
+solve that ends a hair above the GMRES tolerance is refined in long
+double precision before it can fail.
 
 Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
@@ -36,8 +37,8 @@ import numpy as np
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
 from .curves import (BoundaryCurve, _boundary_sums, _check_slit,  # noqa: F401
                      boundary_clearance, node_spacing_scale, winding_inside, winding_number)
-from .kernel import (GnkSolution, KernelContext, SolveConfig, _rectangle_context,
-                     bounded_context, solve_neumann_system, unbounded_context)
+from .kernel import (GnkSolution, KernelContext, SolveConfig, _mirror_fold, bounded_context,
+                     solve_neumann_system, unbounded_context)
 
 __all__ = [
     "DiskMap",
@@ -68,6 +69,7 @@ class DiskMap:
 
 def _solve_map(ctx: KernelContext, base: complex, cfg: SolveConfig | None,
                x0: np.ndarray | None = None) -> DiskMap:
+    ctx.fold = _mirror_fold(ctx.curve, base)
     dz = ctx.curve.eta - base
     gamma = -np.log(np.abs(dz))
     sol = solve_neumann_system(ctx, gamma, cfg, x0=x0)
@@ -81,17 +83,6 @@ def map_bounded(curve: BoundaryCurve, alpha: complex, cfg: SolveConfig | None = 
                 x0: np.ndarray | None = None) -> DiskMap:
     """Conformal map of the interior of the curve onto the unit disk, alpha -> 0."""
     ctx = bounded_context(curve, alpha)
-    return _solve_map(ctx, ctx.alpha, cfg, x0)
-
-
-def _map_rectangle(curve: BoundaryCurve, alpha: complex, cfg: SolveConfig | None,
-                   x0: np.ndarray | None = None) -> DiskMap:
-    """map_bounded for make_rectangle(r, n_s, p) at its centre (1 + i r) / 2.
-
-    The same map, solved on the folded system of kernel._rectangle_context.
-    Only for that curve and base: the fold assumes their symmetries.
-    """
-    ctx = _rectangle_context(curve, alpha)
     return _solve_map(ctx, ctx.alpha, cfg, x0)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 from .curves import (BoundaryCurve, _boundary_sums, _winding,  # noqa: F401
                      boundary_clearance, make_opened_slit_disk, make_rectangle,
                      node_spacing_scale, winding_inside, winding_number)
-from .diskmap import (_cauchy_pass, _map_rectangle, _phi, cauchy_eval, map_bounded,
-                      map_unbounded, mobius_three_points)
+from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
+                      mobius_three_points)
 from .kernel import SolveConfig
 
 __all__ = [
@@ -134,16 +134,19 @@ def _base_point(curve: BoundaryCurve, base: complex | None = None) -> complex:
     """base, or else a point with the winding number the disk map needs.
 
     That is +1 (inside) for a counterclockwise curve and -1 (in the bounded
-    complement) for a clockwise one. The node mean is taken when it
-    qualifies; otherwise the qualifying cell centre of a coarse grid over the
-    curve's bounding box that lies farthest from the nodes.
+    complement) for a clockwise one. The crossing of a curve's two declared
+    mirrors (its symmetry centre, where a disk map folds both), else the
+    node mean, is taken when it qualifies; otherwise the qualifying cell
+    centre of a coarse grid over the curve's bounding box that lies
+    farthest from the nodes.
     """
     if base is not None:
         return complex(base)
     want = 1.0 if curve.orientation == "ccw" else -1.0
-    mean = complex(np.mean(curve.eta))
-    if np.rint(_winding(_boundary_sums(curve, mean)[1]))[0] == want:
-        return mean
+    # two mirrors are declared through their crossing
+    first = curve.mirrors[0].point if len(curve.mirrors) == 2 else complex(np.mean(curve.eta))
+    if np.rint(_winding(_boundary_sums(curve, first)[1]))[0] == want:
+        return first
     s = (np.arange(_BASE_GRID) + 0.5) / _BASE_GRID
     x, y = curve.eta.real, curve.eta.imag
     z = ((x.min() + s * np.ptp(x))[None, :] + 1j * (y.min() + s * np.ptp(y))[:, None]).ravel()
@@ -223,8 +226,10 @@ def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
     ``base`` is an interior point of a bounded domain (counterclockwise
     curve); ``base=None`` means the point at infinity of an unbounded
     domain (clockwise curve), where ``beta`` optionally picks the
-    auxiliary point in the bounded complement (default: the node mean,
-    or a grid point if that mean is not in the complement).
+    auxiliary point in the bounded complement (default: the symmetry
+    centre of a curve with two declared mirrors, such as an ellipse's 0,
+    else the node mean, or a grid point if that point is not in the
+    complement).
     """
     return float(np.exp(_map_at(curve, base, beta, cfg).h))
 
@@ -403,8 +408,8 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
     for k in range(1, cfg.max_iter + 1):
         iterations = k
         curve = make_rectangle(r, cfg.n_s, cfg.grading_p)
-        alpha = 0.5 * (1.0 + 1j * r)
-        dm = _map_rectangle(curve, alpha, cfg.solve, x0=rho_prev)
+        # from the centre (1 + i r) / 2, where the map folds both mirrors
+        dm = map_bounded(curve, _base_point(curve), cfg.solve, x0=rho_prev)
         rho_prev = dm.solution.rho
         corners = list(curve.corners)
         psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))

@@ -43,15 +43,20 @@ ConvergenceError is raised only if the true residual still misses
 gmres_tol. Solves that pass GMRES outright never take this path. Where
 long double is float64, the correction adds no precision.
 
-The rectangle of the quadrilateral iteration, mapped from its centre,
-has two mirror symmetries that send nodes onto nodes (_RectangleFold):
-gamma is even under both, so rho is odd under both and only the nodes q
-between two side midpoints are unknown. A context made by
-_rectangle_context assembles just the rows of q and of the fixed
-midpoints, at full width, and GMRES runs on the folded (n_s - 1)-square
-matrix N[q, q] - N[q, s1] - N[q, s2] + N[q, s12] (Allgower, Georg and
-Miranda, SIAM J. Numer. Anal. 1992). Every other context keeps the full
-system, which stays the reference for the folded one.
+Mirror symmetry is a property of the curve and the base, not of one
+domain. A builder declares the mirrors that send its nodes onto nodes
+(curves.Mirror): node i goes to (a - i) mod n across a line. When the
+base lies exactly on one mirror, or on two whose offsets differ by n/2,
+gamma = -log|eta - base| is even under them and rho is odd, so only the
+nodes q between adjacent fixed points are unknown (_mirror_fold). The
+disk maps set such a context's fold: it assembles just the rows of q
+and of the fixed nodes, at full width, and GMRES runs on the folded
+square matrix N[q, q] - N[q, s1] (one mirror), or
+N[q, q] - N[q, s1] - N[q, s2] + N[q, s12] (two), where s1, s2 and s12
+are the images of q under the mirrors and their product (Allgower,
+Georg and Miranda, SIAM J. Numer. Anal. 1992). A context made by
+bounded_context or unbounded_context keeps the full system, which stays
+the reference for the folded one.
 
 Solves are memoized by content: solve_neumann_system keeps the last
 _MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
@@ -117,7 +122,7 @@ class KernelContext:
     curve: BoundaryCurve
     A: np.ndarray
     alpha: complex | None = None
-    fold: _RectangleFold | None = None
+    fold: _MirrorFold | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -155,67 +160,65 @@ def unbounded_context(curve: BoundaryCurve) -> KernelContext:
 
 
 @dataclass(frozen=True)
-class _RectangleFold:
-    """The two mirror symmetries of a make_rectangle curve, as node maps.
+class _MirrorFold:
+    """One mirror, or two whose offsets differ by n/2, of a curve's nodes.
 
-    With n = 4 n_s nodes, sigma1: i -> (n_s - i) mod n reflects across the
-    vertical midline and sigma2: i -> (3 n_s - i) mod n across the
-    horizontal one. q holds the unknowns, the nodes strictly between the
-    midpoints of sides 0 and 1; s1, s2 and s12 their images under sigma1,
-    sigma2 and sigma1 sigma2; fixed the nodes a reflection fixes (the four
-    side midpoints, none for odd n_s). rows is q followed by fixed.
+    Mirror k maps node i to (a_k - i) mod n. q holds the unknowns: with one
+    mirror the half-turn of nodes strictly between its two fixed points,
+    with two the nodes strictly between adjacent fixed points of the two.
+    images pairs each other element of the group the mirrors generate with
+    its sign and its image of q: -1 for a mirror, +1 for the product of
+    two. fixed holds the nodes a mirror fixes; rows is q followed by fixed.
+    offsets records the folded mirrors' a_k.
     """
 
     n: int
+    offsets: tuple
     q: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s12: np.ndarray
+    images: tuple
     fixed: np.ndarray
     rows: np.ndarray
 
     def fold(self, Nq: np.ndarray) -> np.ndarray:
         """The folded matrix from the rows q of a matrix (full width)."""
-        return Nq[:, self.q] - Nq[:, self.s1] - Nq[:, self.s2] + Nq[:, self.s12]
+        folded = np.take(Nq, self.q, axis=1)
+        for sign, idx in self.images:
+            (np.add if sign > 0 else np.subtract)(folded, np.take(Nq, idx, axis=1), out=folded)
+        return folded
 
     def unfold(self, x: np.ndarray) -> np.ndarray:
-        """The density that is odd under both reflections and x on q."""
+        """The density that is x on q and odd under each mirror."""
         rho = np.zeros(self.n)
         rho[self.q] = x
-        rho[self.s1] = -x
-        rho[self.s2] = -x
-        rho[self.s12] = x
+        for sign, idx in self.images:
+            rho[idx] = sign * x
         return rho
 
     def mean(self, values: np.ndarray) -> float:
         """Mean over all n nodes of an even function given at rows."""
-        m = self.q.size
-        return float((4.0 * np.sum(values[:m]) + np.sum(values[m:])) / self.n)
+        m, order = self.q.size, len(self.images) + 1.0  # q stands for its group images
+        return float((order * np.sum(values[:m]) + np.sum(values[m:])) / self.n)
 
 
-def _rectangle_fold(n: int) -> _RectangleFold:
-    n_s = n // 4
+def _mirror_fold(curve: BoundaryCurve, base: complex) -> _MirrorFold | None:
+    """The fold over the curve's declared mirrors that hold base exactly, if any."""
+    # base on the line exactly, with no tolerance
+    mirrors = [m for m in curve.mirrors
+               if ((base - m.point) * m.direction.conjugate()).imag == 0.0]
+    if not mirrors:
+        return None
+    n, a = curve.n, mirrors[0].a
+    if len(mirrors) > 2 or (len(mirrors) == 2 and (mirrors[1].a - a) % n != n // 2):
+        raise ValueError("a fold takes one mirror, or two whose offsets differ by n/2")
     i = np.arange(n)
-    s1 = (n_s - i) % n
-    s2 = (3 * n_s - i) % n
-    q = i[(n_s < 2 * i) & (2 * i < 3 * n_s)]
-    fixed = i[(s1 == i) | (s2 == i)]
-    return _RectangleFold(n=n, q=q, s1=s1[q], s2=s2[q], s12=s1[s2[q]], fixed=fixed,
-                          rows=np.concatenate((q, fixed)))
-
-
-def _rectangle_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
-    """Kernel data for make_rectangle(r, n_s, p) at its centre (1 + i r) / 2, folded.
-
-    Nothing checks the symmetry: the caller vouches for the curve and the
-    base, and solve_neumann_system on this context takes gamma to be even
-    under both reflections, as the disk map's -log|eta - alpha| is.
-    """
-    if curve.n % 4:
-        raise ValueError("a rectangle has 4 n_s nodes")
-    ctx = bounded_context(curve, alpha)
-    ctx.fold = _rectangle_fold(curve.n)
-    return ctx
+    maps = [(m.a - i) % n for m in mirrors]
+    q = i[(a < 2 * i) & (2 * i < a + n // len(maps))]
+    images = [(-1.0, s[q]) for s in maps]
+    if len(maps) == 2:
+        images.append((1.0, maps[0][maps[1][q]]))
+    fixed = i[np.any([s == i for s in maps], axis=0)]
+    return _MirrorFold(n=n, offsets=tuple(m.a for m in mirrors), q=q, images=tuple(images),
+                       fixed=fixed, rows=np.concatenate((q, fixed)))
 
 
 def _cot_row(n: int) -> np.ndarray:
@@ -304,8 +307,8 @@ class GnkSolution:
     """Density rho, the mapping constant h, and solver diagnostics.
 
     refine_iters counts the GMRES iterations of the extended-precision
-    correction (0 when the first GMRES pass succeeded), and folded tells
-    whether the rectangle's symmetries were folded out of the system.
+    correction (0 when the first GMRES pass succeeded), and folded is the
+    number of mirrors folded out of the system (0 for a full solve).
 
     Frozen, with a read-only view of rho, because memoized solutions are
     shared between callers.
@@ -317,7 +320,7 @@ class GnkSolution:
     gmres_iters: int
     residual: float
     refine_iters: int = 0
-    folded: bool = False
+    folded: int = 0
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=float).view()
@@ -335,7 +338,7 @@ def _memo_key(ctx: KernelContext, gamma: np.ndarray, cfg: SolveConfig):
     digest = hashlib.blake2b(digest_size=16)
     for arr in (ctx.curve.eta, ctx.curve.deta, ctx.A, gamma):
         digest.update(arr.tobytes())
-    return digest.digest(), cfg.gmres_tol, cfg.max_iters, ctx.fold is not None
+    return digest.digest(), cfg.gmres_tol, cfg.max_iters, ctx.fold and ctx.fold.offsets
 
 
 def _gmres(op, b, x0, rtol, budget):
@@ -402,14 +405,15 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h is the average of the pointwise values; their spread h_spread is a
     useful self-check (it vanishes with the discretization error).
 
-    On a folded context (_rectangle_context) gamma must be even under both
-    reflections; rho is then odd under both, and GMRES runs on the rows q
-    of the folded matrix N[q, q] - N[q, s1] - N[q, s2] + N[q, s12], with x0
-    restricted to q. h is the mean of the pointwise values at q (weight 4)
+    On a folded context (ctx.fold set, see _mirror_fold) gamma must be even
+    under each folded mirror; rho is then odd under each, and GMRES runs on
+    the rows q of the folded matrix, N[q, q] plus N[q, image] times the
+    image's sign for each group image of q, with x0 restricted to q. h is
+    the mean of the pointwise values at q (weighted by the group order)
     and at the fixed nodes (weight 1), and residual is the folded system's.
 
     Without x0, the solution is memoized on a hash of eta, eta', A, gamma,
-    cfg's gmres_tol and max_iters, and whether the context is folded: a
+    cfg's gmres_tol and max_iters, and which mirrors were folded: a
     repeat returns the stored GnkSolution, including the gmres_iters,
     refine_iters and residual of the solve that produced it, without
     assembling or iterating. A warm start x0 bypasses the memo, since it
@@ -443,8 +447,8 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h_pw = 0.5 * (apply_M(ctx, rho) - gamma[ctx.rows] + w * (N @ gamma))
     h = float(np.mean(h_pw)) if fold is None else fold.mean(h_pw)
     spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
-    sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters,
-                      residual=residual, refine_iters=refine, folded=fold is not None)
+    sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters, residual=residual,
+                      refine_iters=refine, folded=0 if fold is None else len(fold.offsets))
     if key is not None:
         _memo[key] = sol
         if len(_memo) > _MEMO_SIZE:

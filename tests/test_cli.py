@@ -342,6 +342,8 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     # mode values that do not parse
     ["quadmod", "--angles-pi=-1,-0.5,0"],
     ["hypdist", "{path}", "--z1", "zero", "--z2", "0.5"],
+    # a smooth domain has no grading exponent
+    ["confrad", "{E}", "--grading-p", "7"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
                                slit_json, tmp_path, capsys):

@@ -11,15 +11,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conforminv import QuadConfig, curves, kernel, map_bounded, quad_modulus
-from conforminv.curves import (make_amoeba, make_ellipse, make_polygon, make_rectangle,
-                               spectral_derivative)
-from conforminv.diskmap import _map_rectangle
+from conforminv import QuadConfig, curves, kernel, map_bounded, map_unbounded, quad_modulus
+from conforminv.curves import (make_amoeba, make_ellipse, make_opened_slit_disk, make_polygon,
+                               make_rectangle, spectral_derivative)
 from conforminv.kernel import (ConvergenceError, GnkSolution, SolveConfig, _assemble,
-                               _circulant, _cot_row, _rectangle_context, _rectangle_fold,
-                               _residual_longdouble, _solve_dense, apply_M,
-                               bounded_context, conjugate_periodic, solve_neumann_system,
-                               unbounded_context)
+                               _circulant, _cot_row, _mirror_fold, _residual_longdouble,
+                               _solve_dense, apply_M, bounded_context, conjugate_periodic,
+                               solve_neumann_system, unbounded_context)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -409,38 +407,81 @@ def test_solve_below_the_gmres_floor_passes():
 
 def test_solution_record_defaults():
     sol = GnkSolution(rho=np.zeros(4), h=0.0, h_spread=0.0, gmres_iters=0, residual=0.0)
-    assert sol.refine_iters == 0 and sol.folded is False
+    assert sol.refine_iters == 0 and sol.folded == 0
 
 
-# ------------------------------------------------------------ rectangle fold
+# ------------------------------------------------------------ mirror folds
+
+def _folded(ctx, base):
+    """ctx folded over the curve's mirrors that hold base, as the disk maps fold it."""
+    ctx.fold = _mirror_fold(ctx.curve, base)
+    return ctx
+
+
+# (curve, base, mirrors the base lies on) for each declared symmetry family
+SYMMETRIC = {
+    "ellipse-interior": (lambda: make_ellipse(1.0, 0.6, 256), 0.0, 2),
+    "ellipse-interior-axis": (lambda: make_ellipse(1.0, 0.6, 256), 0.3, 1),
+    "ellipse-exterior": (lambda: make_ellipse(1.0, 0.3, 256, "exterior"), 0.0, 2),
+    "G1": (lambda: make_opened_slit_disk("G1", 0.5, n_s=128), 1.0, 1),
+    "G2": (lambda: make_opened_slit_disk("G2", 0.5, n_s=128), -1.0, 1),
+    "G3": (lambda: make_opened_slit_disk("G3", 0.6, 0.2, n_s=128), 0.8, 1),
+    "rectangle": (lambda: make_rectangle(1.3, 64), 0.5 * (1.0 + 1.3j), 2),
+}
+
+
+@pytest.mark.parametrize("name", SYMMETRIC)
+def test_declared_mirrors_map_nodes_onto_nodes(name):
+    build, base, count = SYMMETRIC[name]
+    curve = build()
+    n, i = curve.n, np.arange(curve.n)
+    scale = np.max(np.abs(curve.eta))
+    for a, point, direction in curve.mirrors:
+        u = direction / direction.conjugate()
+        reflected = point + u * np.conj(curve.eta - point)
+        gap = np.max(np.abs(curve.eta[(a - i) % n] - reflected))
+        assert gap <= 8 * np.finfo(float).eps * scale
+    fold = _mirror_fold(curve, base)
+    assert len(fold.offsets) == count
+    # q, its group images and the fixed nodes partition the nodes
+    parts = np.concatenate([fold.q, fold.fixed] + [idx for _, idx in fold.images])
+    assert np.array_equal(np.sort(parts), i)
+    assert fold.q.size * (len(fold.images) + 1) + fold.fixed.size == n
+
 
 @pytest.mark.parametrize("n_s", [8, 9, 64])
 def test_rectangle_reflections_map_nodes_onto_nodes(n_s):
     r = 1.3
     eta = make_rectangle(r, n_s).eta
     n = eta.size
-    fold = _rectangle_fold(n)
+    fold = _mirror_fold(make_rectangle(r, n_s), 0.5 * (1.0 + 1j * r))
     i = np.arange(n)
     s1, s2 = (n_s - i) % n, (3 * n_s - i) % n
     ulp = np.finfo(float).eps
     # sigma1 is x -> 1 - x, sigma2 is y -> r - y
     assert np.max(np.abs(eta[s1] - (1.0 - eta.conj()))) <= 4 * ulp
     assert np.max(np.abs(eta[s2] - (eta.conj() + 1j * r))) <= 4 * ulp * r
-    assert np.array_equal(fold.s1, s1[fold.q]) and np.array_equal(fold.s2, s2[fold.q])
-    assert np.array_equal(fold.s12, s1[s2[fold.q]])
+    # the generic fold's arrays are the rectangle fold's: q between the
+    # midpoints of sides 0 and 1, then its images under s1, s2 and s1 s2
+    q = i[(n_s < 2 * i) & (2 * i < 3 * n_s)]
+    assert fold.offsets == (n_s, 3 * n_s) and np.array_equal(fold.q, q)
+    (m1, f1), (m2, f2), (p12, f12) = fold.images
+    assert (m1, m2, p12) == (-1.0, -1.0, 1.0)
+    assert np.array_equal(f1, s1[q]) and np.array_equal(f2, s2[q])
+    assert np.array_equal(f12, s1[s2[q]])
     # they fix exactly the side midpoints, nodes only for even n_s
     assert np.array_equal(fold.fixed, i[(s1 == i) | (s2 == i)])
     mids = [0.5, 1.0 + 0.5j * r, 0.5 + 1j * r, 0.5j * r] if n_s % 2 == 0 else []
     assert np.allclose(eta[fold.fixed], mids, rtol=0.0, atol=4 * ulp * r)
     # q, its three images and the fixed nodes partition the nodes
-    parts = np.concatenate((fold.q, fold.s1, fold.s2, fold.s12, fold.fixed))
+    parts = np.concatenate((fold.q, f1, f2, f12, fold.fixed))
     assert np.array_equal(np.sort(parts), i)
     assert np.array_equal(fold.rows, np.concatenate((fold.q, fold.fixed)))
 
 
 def test_row_assembly_keeps_the_full_bits(monkeypatch):
     ctx = bounded_context(make_rectangle(1.3, 64), 0.5 + 0.65j)
-    rows = _rectangle_fold(ctx.n).rows
+    rows = _mirror_fold(ctx.curve, ctx.alpha).rows
     N, M1 = ctx.matrices()
     for block in (1, 7, rows.size):
         monkeypatch.setattr(curves, "_BLOCK_PAIRS", block * ctx.n)
@@ -455,9 +496,9 @@ def test_folded_solve_matches_full(r, n_s):
     alpha = 0.5 * (1.0 + 1j * r)
     gamma = -np.log(np.abs(curve.eta - alpha))
     full = solve_neumann_system(bounded_context(curve, alpha), gamma)
-    ctx = _rectangle_context(curve, alpha)
+    ctx = _folded(bounded_context(curve, alpha), alpha)
     folded = solve_neumann_system(ctx, gamma)
-    assert folded.folded and not full.folded
+    assert folded.folded == 2 and full.folded == 0
     assert ctx.matrices()[0].shape == (n_s + 3, 4 * n_s)
     assert np.max(np.abs(folded.rho - full.rho)) <= 1e-13
     assert abs(folded.h - full.h) <= 1e-13
@@ -465,20 +506,92 @@ def test_folded_solve_matches_full(r, n_s):
     assert abs(folded.gmres_iters - full.gmres_iters) <= 1
     # the warm start is restricted to the unknowns
     warm = solve_neumann_system(ctx, gamma, x0=full.rho)
-    assert warm.folded and np.max(np.abs(warm.rho - full.rho)) <= 1e-13
+    assert warm.folded == 2 and np.max(np.abs(warm.rho - full.rho)) <= 1e-13
+
+
+def _full_solution(curve, base):
+    """The unfolded solve of the disk map's problem at base."""
+    ctx = bounded_context(curve, base) if curve.orientation == "ccw" else unbounded_context(curve)
+    return solve_neumann_system(ctx, -np.log(np.abs(curve.eta - base)))
+
+
+def _map(curve, base):
+    return (map_bounded if curve.orientation == "ccw" else map_unbounded)(curve, base)
+
+
+@pytest.mark.parametrize("build, base, count", [
+    (lambda: make_ellipse(1.0, 0.1, 1024, "exterior"), 0.0, 2),
+    (lambda: make_ellipse(1.0, 0.5, 1024, "exterior"), 0.0, 2),
+    (lambda: make_ellipse(1.0, 0.9, 1024, "exterior"), 0.0, 2),
+    (lambda: make_ellipse(1.0, 0.6, 512), 0.0, 2),
+    (lambda: make_ellipse(1.0, 0.6, 512), 0.3, 1),
+    (lambda: make_opened_slit_disk("G1", 0.5, n_s=256), 1.0, 1),
+    (lambda: make_opened_slit_disk("G2", 0.5, n_s=256), -1.0, 1),
+    (lambda: make_opened_slit_disk("G3", 0.6, 0.2, n_s=256), 0.8, 1),
+], ids=["exterior-0.1", "exterior-0.5", "exterior-0.9", "interior-centre",
+        "interior-axis", "G1", "G2", "G3"])
+def test_folded_map_matches_full(build, base, count):
+    curve = build()
+    folded = _map(curve, base).solution
+    full = _full_solution(curve, base)
+    assert folded.folded == count and full.folded == 0
+    assert np.max(np.abs(folded.rho - full.rho)) <= 1e-13
+    assert abs(folded.h - full.h) <= 1e-13
+    assert abs(folded.h_spread - full.h_spread) <= 1e-13
+    assert abs(folded.gmres_iters - full.gmres_iters) <= 1
+
+
+@pytest.mark.parametrize("build, base", [
+    (lambda: make_ellipse(1.0, 0.6, 256), 0.1 + 0.1j),
+    (lambda: make_ellipse(1.0, 0.3, 256, "exterior"), 0.1 + 0.1j),
+    (lambda: make_opened_slit_disk("G1", 0.5, n_s=64), 1.0 + 1e-3j),
+    (lambda: make_rectangle(1.3, 64), 0.4 + 0.6j),
+], ids=["ellipse-interior", "ellipse-exterior", "G1", "rectangle"])
+def test_base_off_every_mirror_takes_the_full_path(build, base):
+    curve = build()
+    assert _mirror_fold(curve, base) is None
+    sol = _map(curve, base).solution
+    full = _full_solution(curve, base)
+    assert sol.folded == 0
+    assert np.array_equal(sol.rho, full.rho) and sol.h == full.h
+
+
+def test_fold_refuses_mirrors_it_cannot_fold():
+    # a circle's mirrors at angles 0 and pi/4 both hold 0, but their
+    # offsets differ by n/8: the quarter-size fold would be wrong there
+    curve = dataclasses.replace(make_ellipse(1.0, 1.0, 64), mirrors=(
+        curves.Mirror(0, 0j, 1 + 0j), curves.Mirror(16, 0j, complex(np.exp(0.25j * np.pi)))))
+    with pytest.raises(ValueError, match="offsets differ by n/2"):
+        map_bounded(curve, 0.0)
+    assert map_bounded(curve, 0.5).solution.folded == 1
+
+
+def test_folded_map_peak_memory_is_the_folded_rows():
+    # the exterior ellipse at beta = 0 folds both axes: the map holds the
+    # rows of q and of the fixed nodes at full width, and the folded matrix
+    n = 2048
+    curve = make_ellipse(1.0, 0.5, n, "exterior")
+    tracemalloc.start()
+    try:
+        dm = map_unbounded(curve, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.solution.folded == 2
+    assert peak <= 16 * (n // 4 + 3) * n + 8 * (n // 4 - 1) ** 2 + 16 * 2**20
 
 
 def test_memo_keeps_folded_and_full_solves_apart(assemblies):
     # the first step of the rectangle iteration (r = 1) has no x0, so its
-    # folded solve is memoized; the same rectangle mapped in full must miss
+    # folded solve is memoized; the same problem solved in full must miss
     quad_modulus(-1.0 + 0.0j, -1.0j, 1.0 + 0.0j, 1.0j, cfg=QuadConfig(n_s=64))
     calls = len(assemblies)
     curve, alpha = make_rectangle(1.0, 64), 0.5 + 0.5j
-    full = map_bounded(curve, alpha).solution
-    assert not full.folded and len(assemblies) == calls + 1
-    folded = _map_rectangle(curve, alpha, None).solution
-    assert folded.folded and len(assemblies) == calls + 1
-    assert map_bounded(curve, alpha).solution is full
+    full = _full_solution(curve, alpha)
+    assert full.folded == 0 and len(assemblies) == calls + 1
+    folded = map_bounded(curve, alpha).solution
+    assert folded.folded == 2 and len(assemblies) == calls + 1
+    assert _full_solution(curve, alpha) is full
 
 
 def test_rectangle_context_with_any_gamma_takes_the_full_path():

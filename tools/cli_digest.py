@@ -1,0 +1,75 @@
+"""Digest the outputs of a fixed list of reference CLI invocations.
+
+Each invocation runs ``python -m conforminv.cli`` on the ``src`` tree
+beside this script's parent, in a fresh temporary directory that holds
+the domain files below, with one BLAS thread. One line is printed per
+invocation: the exit code, the sha256 of standard output, the sha256 of
+each file the run wrote, then the command line. Run it in two checkouts
+and diff the outputs to see which results changed in any bit:
+
+    python3 tools/cli_digest.py
+
+The longest invocation is the 19-point exterior-ellipse sweep at n=4096.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+DOMAINS = {
+    "L.json": {"kind": "polygon",
+               "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]],
+               "ns": 512, "grading_p": 3.0},
+    "E.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "exterior", "n": 4096},
+    "Ei.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "interior", "n": 1024},
+    "G3.json": {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 512},
+}
+
+INVOCATIONS = (
+    ["hypdist", "L.json", "--z1", "2i", "--grid=-1,6,-1,4,141,101", "--out", "f.csv"],
+    ["hypdist", "L.json", "--z1", "2i", "--z2", "5"],
+    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--trace", "t.csv"],
+    ["redmod", "E.json", "--sweep", "0.1:1.0:0.05"],
+    ["redmod", "Ei.json", "--sweep", "0.2:1.0:0.2"],
+    ["redmod", "G3.json", "--sweep", "0.3:0.9:0.1"],
+    ["redmod", "--ngon-sweep", "3:6"],
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(argv: list, env: dict) -> str:
+    """'exit=... stdout=... [file=...] command' for one invocation."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for name, desc in DOMAINS.items():
+            (work / name).write_text(json.dumps(desc))
+        run = subprocess.run([sys.executable, "-m", "conforminv.cli", *argv], cwd=work,
+                             env=env, capture_output=True, check=False)
+        written = sorted(p for p in work.iterdir() if p.name not in DOMAINS)
+        parts = [f"exit={run.returncode}", f"stdout={_sha(run.stdout)}"]
+        parts += [f"{p.name}={_sha(p.read_bytes())}" for p in written]
+    return " ".join(parts + argv)
+
+
+def main() -> int:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for argv in INVOCATIONS:
+        print(digest(argv, env), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
