@@ -66,7 +66,7 @@ from .invariants import (
     reduced_modulus,
     reduced_modulus_slit_disk,
 )
-from .kernel import ConvergenceError, SolveConfig
+from .kernel import ConvergenceError
 
 _GRID_HELP = '"xmin,xmax,ymin,ymax,nx,ny"; write a negative xmin as --grid=-1,...'
 
@@ -188,10 +188,6 @@ def _build_domain(desc: dict, args):
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
-def _solve_cfg(args) -> SolveConfig:
-    return SolveConfig(gmres_tol=args.gmres_tol, max_iters=args.max_gmres)
-
-
 def _print_scalar(value: float):
     print(f"{value:.15g}")
 
@@ -210,8 +206,8 @@ def _check_grid_options(args) -> None:
 
 
 def _write_grid(args, field, *leading) -> None:
-    """Evaluate field(*leading, grid, cfg=...) on --grid and write it to --out."""
-    result = field(*leading, args.grid, cfg=_solve_cfg(args))
+    """Evaluate field(*leading, grid) on --grid and write it to --out."""
+    result = field(*leading, args.grid)
     (result.write_json if args.format == "json" else result.write_csv)(args.out)
 
 
@@ -221,18 +217,17 @@ def cmd_hypdist(args) -> None:
     alpha = args.z1 if args.alpha is None else args.alpha
     if args.grid is not None:
         return _write_grid(args, hyperbolic_distance_field, curve, alpha, args.z1)
-    _print_scalar(hyperbolic_distance(curve, alpha, args.z1, args.z2, cfg=_solve_cfg(args)))
+    _print_scalar(hyperbolic_distance(curve, alpha, args.z1, args.z2))
 
 
-def _slit_modulus(args, desc: dict, r: float, cfg: SolveConfig) -> float:
+def _slit_modulus(args, desc: dict, r: float) -> float:
     return reduced_modulus_slit_disk(desc["case"], r, float(desc.get("a", 0.0)),
                                      n_s=int(_setting(args.size, desc, "ns", 512)),
-                                     p=float(_setting(args.grading_p, desc, "grading_p", 3.0)),
-                                     cfg=cfg)
+                                     p=float(_setting(args.grading_p, desc, "grading_p", 3.0)))
 
 
 def _redmod_sweep(args, desc: dict) -> None:
-    kind, cfg = desc["kind"], _solve_cfg(args)
+    kind = desc["kind"]
     if kind == "opened_slit":
         case, a = desc["case"], float(desc.get("a", 0.0))
         values = [r for r in args.sweep if r > a]
@@ -248,25 +243,24 @@ def _redmod_sweep(args, desc: dict) -> None:
     lines = ["parameter,computed,exact,abs_error"]
     for r, e in zip(values, exact):
         if kind == "opened_slit":
-            m = _slit_modulus(args, desc, r, cfg)
+            m = _slit_modulus(args, desc, r)
         else:
             exterior = side == "exterior"
             semiaxes = (1.0, r) if exterior else (float(np.cosh(r)), float(np.sinh(r)))
             curve = _build_domain(dict(desc, a=semiaxes[0], b=semiaxes[1]), args)
-            m = reduced_modulus(curve, base=None if exterior else 0.0, cfg=cfg)
+            m = reduced_modulus(curve, base=None if exterior else 0.0)
         lines.append(f"{r:.15g},{m:.15g},{e:.15g},{abs(m - e):.15g}")
     _write_lines(lines, args.out)
 
 
 def _redmod_ngon_sweep(args) -> None:
-    cfg = _solve_cfg(args)
     ns = int(_setting(args.size, {}, "ns", 512))
     p = float(_setting(args.grading_p, {}, "grading_p", 3.0))
     lines = ["parameter,computed"]
     for ell in args.ngon_sweep:
         vertices = np.exp(2j * np.pi * np.arange(ell) / ell)
         curve = make_polygon(list(vertices), ns, p=p)
-        m = reduced_modulus(curve, base=0.0, cfg=cfg)
+        m = reduced_modulus(curve, base=0.0)
         lines.append(f"{ell},{m:.15g}")
     _write_lines(lines, args.out)
 
@@ -284,17 +278,17 @@ def cmd_redmod(args) -> None:
         return _redmod_sweep(args, _read_domain(args.domain))
     if args.out is not None:
         raise ValueError("--out applies to --sweep and --ngon-sweep")
-    desc, cfg = _read_domain(args.domain), _solve_cfg(args)
+    desc = _read_domain(args.domain)
     if desc["kind"] == "opened_slit":
         if args.base is not None:
             raise ValueError("an opened slit disk uses its family's base point")
-        _print_scalar(_slit_modulus(args, desc, float(desc["r"]), cfg))
+        _print_scalar(_slit_modulus(args, desc, float(desc["r"])))
     else:
-        _print_scalar(reduced_modulus(_build_domain(desc, args), base=args.base, cfg=cfg))
+        _print_scalar(reduced_modulus(_build_domain(desc, args), base=args.base))
 
 
 def cmd_confrad(args) -> None:
-    _print_scalar(conformal_radius(_curve(args), base=args.base, cfg=_solve_cfg(args)))
+    _print_scalar(conformal_radius(_curve(args), base=args.base))
 
 
 def cmd_harm(args) -> None:
@@ -303,11 +297,10 @@ def cmd_harm(args) -> None:
     if args.grid is not None:
         sides = range(1, len(curve.corners) + 1) if args.sum else [args.side]
         return _write_grid(args, harmonic_measure_field, curve, sides, args.alpha)
-    cfg = _solve_cfg(args)
     if args.sum:
-        _print_scalar(float(harmonic_measure_all(curve, args.alpha, [args.z], cfg=cfg).sum()))
+        _print_scalar(float(harmonic_measure_all(curve, args.alpha, [args.z]).sum()))
     else:
-        _print_scalar(float(harmonic_measure(curve, args.side, args.alpha, [args.z], cfg=cfg)[0]))
+        _print_scalar(float(harmonic_measure(curve, args.side, args.alpha, [args.z])[0]))
 
 
 def _write_quad_trace(trace, path: str):
@@ -325,9 +318,7 @@ def _write_quad_trace(trace, path: str):
 
 def cmd_quadmod(args) -> int | None:
     qcfg = QuadConfig(n_s=int(_setting(args.size, {}, "ns", 512)),
-                      grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)),
-                      eps=args.quad_eps, max_iter=args.quad_max,
-                      solve=_solve_cfg(args))
+                      grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)))
     if args.oracle and args.angles_pi is None:
         raise ValueError("--oracle applies to --angles-pi mode")
     if args.alpha is not None and args.params is None:
@@ -360,8 +351,6 @@ def _add_common(sub):
     sub.add_argument("--ns", "--n", dest="size", type=int,
                      help="override the domain file's node count (n or per-side ns)")
     sub.add_argument("--grading-p", type=float)
-    sub.add_argument("--gmres-tol", type=float, default=0.5e-14)
-    sub.add_argument("--max-gmres", type=int, default=100)
 
 
 def _add_grid_mode(sub, modes):
@@ -433,8 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     qua.add_argument("--alpha", type=point, help="base point (--params mode)")
     qua.add_argument("--oracle", action="store_true")
     qua.add_argument("--trace", help="write iteration trace CSV")
-    qua.add_argument("--quad-eps", type=float, default=0.5e-13)
-    qua.add_argument("--quad-max", type=int, default=50)
     _add_common(qua)
     qua.set_defaults(func=cmd_quadmod)
 

@@ -39,8 +39,7 @@ TWO_PI = 2.0 * np.pi
 # nodes (point location and Cauchy sums, kernel assembly, the long-double
 # residual), read only by _row_blocks: 1 MB of complex temporaries per
 # block, which stays in cache. Sums run along rows, so results do not
-# depend on the block size, save one case: numpy hands the Cauchy product
-# of a one-row block to BLAS as a dot product, which rounds differently.
+# depend on the block size.
 _BLOCK_PAIRS = 65_536
 
 
@@ -443,11 +442,17 @@ def _row_blocks(m: int, n: int, eta=None, z=None):
     Yields the row slices, or, given the nodes eta and the m targets z,
     (rows, eta[None, :] - z[rows, None]). This is the one block policy of
     the O(n m) passes over the boundary nodes; callers reduce along rows.
+    Blocks have at least two rows unless m is 1: numpy hands a one-row
+    matrix-vector product to BLAS as a dot product, which rounds unlike
+    the product of more rows. A lone last row joins the block before it.
     """
-    block = max(1, _BLOCK_PAIRS // n)
-    for start in range(0, m, block):
-        rows = slice(start, min(m, start + block))
+    block = max(2, _BLOCK_PAIRS // n)
+    start = 0
+    while start < m:
+        stop = m if m - start < block + 2 else start + block
+        rows = slice(start, stop)
         yield rows if z is None else (rows, eta[None, :] - z[rows, None])
+        start = stop
 
 
 def _boundary_sums(curve: BoundaryCurve, z, values=None):
@@ -457,10 +462,13 @@ def _boundary_sums(curve: BoundaryCurve, z, values=None):
     winding number and the Cauchy denominator; cauchy weights the same sum
     by values (None without); clear = min_j |eta_j - z|; inside as in
     winding_inside. A z on a node gets nan sums: outside, as it should be.
-    Each output keeps its bits whatever the row blocks, except that a
-    block of one row gets cauchy's bits for that point alone.
+    Each output keeps its bits whatever the row blocks, and a point alone
+    gets the bits it gets in any batch: it is summed as a pair with itself.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    if z.size == 1:
+        pair = _boundary_sums(curve, np.repeat(z, 2), values)
+        return tuple(None if out is None else out[:1] for out in pair)
     rows = np.empty(z.shape, dtype=complex)
     cauchy = None if values is None else np.empty(z.shape, dtype=complex)
     clear = np.empty(z.shape, dtype=float)

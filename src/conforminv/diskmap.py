@@ -37,7 +37,7 @@ import numpy as np
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
 from .curves import (BoundaryCurve, _boundary_sums, _check_slit,  # noqa: F401
                      boundary_clearance, node_spacing_scale, winding_inside, winding_number)
-from .kernel import (GnkSolution, KernelContext, SolveConfig, _mirror_fold, bounded_context,
+from .kernel import (GnkSolution, KernelContext, _mirror_fold, bounded_context,
                      solve_neumann_system, unbounded_context)
 
 __all__ = [
@@ -67,27 +67,24 @@ class DiskMap:
         return self.solution.h
 
 
-def _solve_map(ctx: KernelContext, base: complex, cfg: SolveConfig | None,
-               x0: np.ndarray | None = None) -> DiskMap:
+def _solve_map(ctx: KernelContext, base: complex, x0: np.ndarray | None = None) -> DiskMap:
     ctx.fold = _mirror_fold(ctx.curve, base)
     dz = ctx.curve.eta - base
     gamma = -np.log(np.abs(dz))
-    sol = solve_neumann_system(ctx, gamma, cfg, x0=x0)
+    sol = solve_neumann_system(ctx, gamma, x0=x0)
     g = gamma + sol.h + 1j * sol.rho
     phi = np.exp(-sol.h) * dz * np.exp(g)
     return DiskMap(curve=ctx.curve, base=base, f_boundary=g / ctx.A,
                    phi_boundary=phi, solution=sol)
 
 
-def map_bounded(curve: BoundaryCurve, alpha: complex, cfg: SolveConfig | None = None,
-                x0: np.ndarray | None = None) -> DiskMap:
+def map_bounded(curve: BoundaryCurve, alpha: complex, x0: np.ndarray | None = None) -> DiskMap:
     """Conformal map of the interior of the curve onto the unit disk, alpha -> 0."""
     ctx = bounded_context(curve, alpha)
-    return _solve_map(ctx, ctx.alpha, cfg, x0)
+    return _solve_map(ctx, ctx.alpha, x0)
 
 
-def map_unbounded(curve: BoundaryCurve, beta: complex,
-                  cfg: SolveConfig | None = None) -> DiskMap:
+def map_unbounded(curve: BoundaryCurve, beta: complex) -> DiskMap:
     """Map of the unbounded domain onto the exterior of the unit circle.
 
     beta is any point of the bounded complement; the resulting constant
@@ -98,7 +95,7 @@ def map_unbounded(curve: BoundaryCurve, beta: complex,
     beta = complex(beta)
     if np.rint(winding_number(curve, beta)[0]) != -1.0:
         raise ValueError("auxiliary point beta must lie in the bounded complement")
-    return _solve_map(ctx, beta, cfg)
+    return _solve_map(ctx, beta)
 
 
 def _cauchy_pass(dmap: DiskMap, z: np.ndarray):

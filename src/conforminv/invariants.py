@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .curves import (BoundaryCurve, _boundary_sums, _winding,  # noqa: F401
                      node_spacing_scale, winding_inside, winding_number)
 from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
                       mobius_three_points)
-from .kernel import SolveConfig
 
 __all__ = [
     "GridSpec",
@@ -45,6 +44,8 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _BASE_GRID = 32  # cells per side of the grid that default base points come from
+_QUAD_EPS = 0.5e-13  # the rectangle iteration stops once |r_k - r_{k-1}| < _QUAD_EPS
+_QUAD_MAX_ITER = 50  # rectangle solves before the iteration reports non-convergence
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +178,7 @@ def _pair_distance(w1, w2):
 
 
 def hyperbolic_distance(curve: BoundaryCurve, alpha: complex, z1: complex,
-                        z2: complex, cfg: SolveConfig | None = None) -> float:
+                        z2: complex) -> float:
     """Hyperbolic distance between two interior points.
 
     The domain is mapped onto the unit disk (base point alpha, any
@@ -186,20 +187,19 @@ def hyperbolic_distance(curve: BoundaryCurve, alpha: complex, z1: complex,
 
         dist = 2 asinh( |w1 - w2| / sqrt((1 - |w1|^2)(1 - |w2|^2)) ).
     """
-    dm = map_bounded(curve, alpha, cfg)
+    dm = map_bounded(curve, alpha)
     w = cauchy_eval(dm, np.array([z1, z2], dtype=complex))
     return float(_pair_distance(w[0], w[1]))
 
 
 def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
-                              grid: GridSpec,
-                              cfg: SolveConfig | None = None) -> ScalarField:
+                              grid: GridSpec) -> ScalarField:
     """Hyperbolic distance from z1 to every admissible grid node.
 
     Grid nodes outside the domain or within ten node spacings of the
     boundary are masked out.
     """
-    dm = map_bounded(curve, alpha, cfg)
+    dm = map_bounded(curve, alpha)
     w1 = cauchy_eval(dm, complex(z1))
     return _disk_field(dm, grid, lambda w: _pair_distance(w1, w))
 
@@ -208,19 +208,17 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
 # conformal radius and reduced modulus
 # ----------------------------------------------------------------------
 
-def _map_at(curve: BoundaryCurve, base: complex | None, beta: complex | None,
-            cfg: SolveConfig | None):
+def _map_at(curve: BoundaryCurve, base: complex | None, beta: complex | None):
     """Disk map at a finite base (ccw curve) or at infinity (base None, cw curve)."""
     if base is None and curve.orientation == "ccw":
         raise ValueError("a bounded domain (counterclockwise curve) needs a base point")
     if base is None:
-        return map_unbounded(curve, _base_point(curve, beta), cfg)
-    return map_bounded(curve, base, cfg)
+        return map_unbounded(curve, _base_point(curve, beta))
+    return map_bounded(curve, base)
 
 
 def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
-                     beta: complex | None = None,
-                     cfg: SolveConfig | None = None) -> float:
+                     beta: complex | None = None) -> float:
     """Conformal radius e^h of the domain at the base point.
 
     ``base`` is an interior point of a bounded domain (counterclockwise
@@ -231,14 +229,13 @@ def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
     else the node mean, or a grid point if that point is not in the
     complement).
     """
-    return float(np.exp(_map_at(curve, base, beta, cfg).h))
+    return float(np.exp(_map_at(curve, base, beta).h))
 
 
 def reduced_modulus(curve: BoundaryCurve, base: complex | None = None,
-                    beta: complex | None = None,
-                    cfg: SolveConfig | None = None) -> float:
+                    beta: complex | None = None) -> float:
     """Reduced modulus: h/(2 pi) at a finite base, -h/(2 pi) at infinity."""
-    h = _map_at(curve, base, beta, cfg).h
+    h = _map_at(curve, base, beta).h
     return float((h if curve.orientation == "ccw" else -h) / TWO_PI)
 
 
@@ -250,8 +247,7 @@ _SLIT_BASE_IMAGE = {
 
 
 def reduced_modulus_slit_disk(case: str, r: float, a: float = 0.0,
-                              n_s: int = 512, p: float = 3.0,
-                              cfg: SolveConfig | None = None) -> float:
+                              n_s: int = 512, p: float = 3.0) -> float:
     """Reduced modulus of a slit unit disk at the family's base point.
 
     The slit is opened by the family's square-root map (unit derivative
@@ -260,7 +256,7 @@ def reduced_modulus_slit_disk(case: str, r: float, a: float = 0.0,
     """
     curve = make_opened_slit_disk(case, r, a, n_s, p)
     base = _SLIT_BASE_IMAGE[case](r, a)
-    return reduced_modulus(curve, base, cfg=cfg)
+    return reduced_modulus(curve, base)
 
 
 # ----------------------------------------------------------------------
@@ -288,16 +284,15 @@ def _check_sides(curve: BoundaryCurve, sides):
         raise ValueError(f"side index out of range: the curve has {m} sides")
 
 
-def _corner_map(curve: BoundaryCurve, alpha: complex | None, cfg: SolveConfig | None):
+def _corner_map(curve: BoundaryCurve, alpha: complex | None):
     """Disk map of the domain and the unit-circle images of its corners."""
     if not curve.corners:
         raise ValueError("harmonic measure of sides needs a domain with corners")
-    dm = map_bounded(curve, _base_point(curve, alpha), cfg)
+    dm = map_bounded(curve, _base_point(curve, alpha))
     return dm, _circle_images(dm, list(curve.corners))
 
 
-def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z,
-                     cfg: SolveConfig | None = None) -> np.ndarray:
+def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z) -> np.ndarray:
     """Harmonic measure of one side of a cornered domain at interior points z.
 
     ``side`` is 1-based: side k runs from corner k to corner k+1 (cyclic),
@@ -307,31 +302,30 @@ def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z,
     form after a Moebius transform pinning the arc at (-i, 1, i).
     """
     _check_sides(curve, [side])
-    dm, zet = _corner_map(curve, alpha, cfg)
+    dm, zet = _corner_map(curve, alpha)
     out = _side_measure(zet, side, cauchy_eval(dm, np.atleast_1d(z)))
     return out if np.asarray(z).ndim else float(out[0])
 
 
-def harmonic_measure_all(curve: BoundaryCurve, alpha: complex | None, z,
-                         cfg: SolveConfig | None = None) -> np.ndarray:
+def harmonic_measure_all(curve: BoundaryCurve, alpha: complex | None, z) -> np.ndarray:
     """Harmonic measures of every side at points z, shape (m, len(z)).
 
     One integral-equation solve is shared across all sides; the columns
     sum to 1 up to rounding because the side arcs partition the circle.
     """
-    dm, zet = _corner_map(curve, alpha, cfg)
+    dm, zet = _corner_map(curve, alpha)
     w = cauchy_eval(dm, np.atleast_1d(z))
     return np.vstack([_side_measure(zet, k, w) for k in range(1, zet.size + 1)])
 
 
 def harmonic_measure_field(curve: BoundaryCurve, sides, alpha: complex | None,
-                           grid: GridSpec, cfg: SolveConfig | None = None) -> ScalarField:
+                           grid: GridSpec) -> ScalarField:
     """Harmonic measure of the union of the given (1-based) sides on a grid.
 
     Nodes are masked as in hyperbolic_distance_field.
     """
     _check_sides(curve, sides)
-    dm, zet = _corner_map(curve, alpha, cfg)
+    dm, zet = _corner_map(curve, alpha)
     return _disk_field(dm, grid, lambda w: np.sum([_side_measure(zet, k, w) for k in sides], 0))
 
 
@@ -341,19 +335,10 @@ def harmonic_measure_field(curve: BoundaryCurve, sides, alpha: complex | None,
 
 @dataclass
 class QuadConfig:
-    """Controls for the rectangle iteration of quad_modulus."""
+    """The rectangles of quad_modulus: n_s graded nodes per side, exponent grading_p."""
 
     n_s: int = 512
     grading_p: float = 3.0
-    eps: float = 0.5e-13
-    max_iter: int = 50
-    solve: SolveConfig = field(default_factory=SolveConfig)
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < np.inf:
-            raise ValueError("eps must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -391,7 +376,7 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
     r by the angular mismatch of the fourth corner's image against z4,
     with a step-doubling/halving control and a 20 percent cap per step.
 
-    Non-convergence within max_iter iterations is reported through the
+    Non-convergence within _QUAD_MAX_ITER iterations is reported through the
     returned trace (``converged=False``), not as an exception.
     """
     if cfg is None:
@@ -405,11 +390,11 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
     converged = False
     iterations = 0
     rho_prev = None
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, _QUAD_MAX_ITER + 1):
         iterations = k
         curve = make_rectangle(r, cfg.n_s, cfg.grading_p)
         # from the centre (1 + i r) / 2, where the map folds both mirrors
-        dm = map_bounded(curve, _base_point(curve), cfg.solve, x0=rho_prev)
+        dm = map_bounded(curve, _base_point(curve), x0=rho_prev)
         rho_prev = dm.solution.rho
         corners = list(curve.corners)
         psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))
@@ -436,7 +421,7 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
         factors.append(delta_prev)
         r_new = r + step
         r_iterates.append(r_new)
-        done = abs(r_new - r) < cfg.eps
+        done = abs(r_new - r) < _QUAD_EPS
         r = r_new
         if done:
             converged = True
@@ -455,15 +440,13 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
     (None picks one) and the marked points' disk images feed the rectangle
     iteration.
     """
-    if cfg is None:
-        cfg = QuadConfig()
     params = np.asarray(params, dtype=float)
     if params.shape != (4,):
         raise ValueError("need exactly four parameter values")
     # in positive form, so that nan fails every test
     if not (np.all(params >= 0.0) and np.all(params < TWO_PI) and np.all(np.diff(params) > 0.0)):
         raise ValueError("parameters must be strictly increasing in [0, 2 pi)")
-    dm = map_bounded(curve, _base_point(curve, alpha), cfg.solve)
+    dm = map_bounded(curve, _base_point(curve, alpha))
     idx = np.rint(params / TWO_PI * curve.n).astype(int) % curve.n
     if len(set(idx.tolist())) != 4:
         raise ValueError("marked points collapse onto the same node")

@@ -35,12 +35,12 @@ Solving (I - N) rho = -M gamma for the real density rho and averaging
 
 yields the constant h that the conformal mapping modules consume.
 
-GMRES stops at gmres_tol, near the float64 floor, so rounding can leave a
-pass a hair above it. Only then, where the solve would otherwise raise,
+GMRES stops at _GMRES_TOL, near the float64 floor, so rounding can leave
+a pass a hair above it. Only then, where the solve would otherwise raise,
 one correction solve runs on the residual formed in long double precision
-(in row blocks), its iterations taken from the same max_iters budget, and
-ConvergenceError is raised only if the true residual still misses
-gmres_tol. Solves that pass GMRES outright never take this path. Where
+(in row blocks), its iterations taken from the same _MAX_ITERS budget,
+and ConvergenceError is raised only if the true residual still misses
+_GMRES_TOL. Solves that pass GMRES outright never take this path. Where
 long double is float64, the correction adds no precision.
 
 Mirror symmetry is a property of the curve and the base, not of one
@@ -60,10 +60,10 @@ the reference for the folded one.
 
 Solves are memoized by content: solve_neumann_system keeps the last
 _MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
-hash of the bytes of eta, eta', A and gamma together with the solver
-settings. A repeat of the same problem in one process, even on a curve
-rebuilt from the same data, skips assembly and GMRES and returns the
-stored solution with the same bits. Only the O(n) solution is kept, never
+hash of the bytes of eta, eta', A and gamma, and on the folded mirrors.
+A repeat of the same problem in one process, even on a curve rebuilt
+from the same data, skips assembly and GMRES and returns the stored
+solution with the same bits. Only the O(n) solution is kept, never
 the n^2 matrices. Warm-started solves (an x0) and failed solves are not
 memoized, and a folded solve never answers for a full one or back.
 """
@@ -86,7 +86,6 @@ __all__ = [
     "unbounded_context",
     "conjugate_periodic",
     "apply_M",
-    "SolveConfig",
     "GnkSolution",
     "ConvergenceError",
     "solve_neumann_system",
@@ -99,20 +98,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class SolveConfig:
-    """Linear solver controls for the integral equation."""
-
-    gmres_tol: float = 0.5e-14
-    max_iters: int = 100
-
-    def __post_init__(self):
-        if not 0.0 < self.gmres_tol < np.inf:
-            raise ValueError("gmres_tol must be positive and finite")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
@@ -331,14 +316,16 @@ class GnkSolution:
 _MEMO_SIZE = 8
 _memo: OrderedDict = OrderedDict()  # key -> GnkSolution, least recent first
 
+_GMRES_TOL = 0.5e-14  # relative residual GMRES stops at, near the float64 floor
+_MAX_ITERS = 100  # GMRES iterations per solve, the correction's included
 _REFINE_TOL = 1e-8  # relative tolerance of the correction solve
 
 
-def _memo_key(ctx: KernelContext, gamma: np.ndarray, cfg: SolveConfig):
+def _memo_key(ctx: KernelContext, gamma: np.ndarray):
     digest = hashlib.blake2b(digest_size=16)
     for arr in (ctx.curve.eta, ctx.curve.deta, ctx.A, gamma):
         digest.update(arr.tobytes())
-    return digest.digest(), cfg.gmres_tol, cfg.max_iters, ctx.fold and ctx.fold.offsets
+    return digest.digest(), ctx.fold and ctx.fold.offsets
 
 
 def _gmres(op, b, x0, rtol, budget):
@@ -359,15 +346,15 @@ def _residual_longdouble(A: np.ndarray, w: float, x: np.ndarray, b: np.ndarray):
     return r.astype(float)
 
 
-def _solve_dense(A: np.ndarray, b: np.ndarray, w: float, x0, cfg: SolveConfig):
+def _solve_dense(A: np.ndarray, b: np.ndarray, w: float, x0):
     """GMRES on (I - w A) x = b: (x, iterations, correction iterations, residual).
 
     Where GMRES stops early above the tolerance, the usual case being its
-    recurrence residual crossing gmres_tol while the true one sits a hair
+    recurrence residual crossing _GMRES_TOL while the true one sits a hair
     above it at the float64 floor, one correction solve on the residual
     formed in long double precision gets a second chance. Its iterations
-    come out of the same max_iters budget. ConvergenceError is raised only
-    if the true residual still misses gmres_tol.
+    come out of the same _MAX_ITERS budget. ConvergenceError is raised only
+    if the true residual still misses _GMRES_TOL.
     """
     m = b.shape[0]
     b_norm = float(np.linalg.norm(b))
@@ -376,28 +363,27 @@ def _solve_dense(A: np.ndarray, b: np.ndarray, w: float, x0, cfg: SolveConfig):
     if b_norm == 0.0:
         x = np.zeros(m)
     else:
-        x, info, iters = _gmres(op, b, x0, cfg.gmres_tol, cfg.max_iters)
+        x, info, iters = _gmres(op, b, x0, _GMRES_TOL, _MAX_ITERS)
 
     def true_residual(x):  # relative, not GMRES's recurrence estimate
         res = float(np.linalg.norm(x - w * (A @ x) - b))
         return res / (b_norm if b_norm > 0.0 else 1.0)
 
     residual = true_residual(x)
-    if info != 0 and iters < cfg.max_iters:
+    if info != 0 and iters < _MAX_ITERS:
         r = _residual_longdouble(A, w, x, b)
-        d, _, refine = _gmres(op, r, None, _REFINE_TOL, cfg.max_iters - iters)
+        d, _, refine = _gmres(op, r, None, _REFINE_TOL, _MAX_ITERS - iters)
         x = x + d
         residual = true_residual(x)
-        info = 0 if residual <= cfg.gmres_tol else info
+        info = 0 if residual <= _GMRES_TOL else info
     if info != 0:
         raise ConvergenceError(
-            f"GMRES did not reach tol {cfg.gmres_tol:g} within "
-            f"{cfg.max_iters} iterations (residual {residual:.3e})", residual)
+            f"GMRES did not reach tol {_GMRES_TOL:g} within "
+            f"{_MAX_ITERS} iterations (residual {residual:.3e})", residual)
     return x, iters, refine, residual
 
 
 def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
-                         cfg: SolveConfig | None = None,
                          x0: np.ndarray | None = None) -> GnkSolution:
     """Solve (I - N) rho = -M gamma, then form h = (M rho - (I - N) gamma)/2.
 
@@ -412,23 +398,20 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     the mean of the pointwise values at q (weighted by the group order)
     and at the fixed nodes (weight 1), and residual is the folded system's.
 
-    Without x0, the solution is memoized on a hash of eta, eta', A, gamma,
-    cfg's gmres_tol and max_iters, and which mirrors were folded: a
-    repeat returns the stored GnkSolution, including the gmres_iters,
-    refine_iters and residual of the solve that produced it, without
-    assembling or iterating. A warm start x0 bypasses the memo, since it
-    changes the last bits of rho. A ConvergenceError is raised afresh on
-    every call and never stored.
+    Without x0, the solution is memoized on a hash of eta, eta', A and
+    gamma, and on which mirrors were folded: a repeat returns the stored
+    GnkSolution, including the gmres_iters, refine_iters and residual of
+    the solve that produced it, without assembling or iterating. A warm
+    start x0 bypasses the memo, since it changes the last bits of rho. A
+    ConvergenceError is raised afresh on every call and never stored.
     """
-    if cfg is None:
-        cfg = SolveConfig()
     gamma = np.asarray(gamma, dtype=float)
     n = ctx.n
     if gamma.shape != (n,):
         raise ValueError("gamma must match the curve's node count")
     if n % 2:
         raise ValueError("node count must be even")
-    key = None if x0 is not None else _memo_key(ctx, gamma, cfg)
+    key = None if x0 is not None else _memo_key(ctx, gamma)
     if key in _memo:
         _memo.move_to_end(key)
         return _memo[key]
@@ -437,12 +420,12 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     fold = ctx.fold
     if fold is None:
         rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
-        rho, iters, refine, residual = _solve_dense(N, rhs, w, x0, cfg)
+        rho, iters, refine, residual = _solve_dense(N, rhs, w, x0)
     else:
         m = fold.q.size
         rhs = conjugate_periodic(gamma)[fold.q] - w * (M1[:m] @ gamma)
         x, iters, refine, residual = _solve_dense(
-            fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q], cfg)
+            fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q])
         rho = fold.unfold(x)
     h_pw = 0.5 * (apply_M(ctx, rho) - gamma[ctx.rows] + w * (N @ gamma))
     h = float(np.mean(h_pw)) if fold is None else fold.mean(h_pw)

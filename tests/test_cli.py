@@ -8,10 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
+from conforminv import invariants, kernel
 from conforminv.cli import main
-from conforminv.curves import make_polygon
+from conforminv.curves import make_amoeba, make_opened_slit_disk, make_polygon
 from conforminv.exact import oracle_reduced_modulus
-from conforminv.invariants import harmonic_measure
+from conforminv.invariants import conformal_radius, harmonic_measure, reduced_modulus_slit_disk
 
 FULL_TURN = 2.0 * math.pi
 
@@ -208,6 +209,31 @@ def test_confrad_disk(disk_json, capsys):
     assert abs(_stdout_float(capsys) - 1.0) < 1e-12
 
 
+def test_redmod_opened_slit_scalar_is_the_library_value(slit_json, capsys):
+    assert main(["redmod", slit_json]) == 0
+    assert capsys.readouterr().out == f"{reduced_modulus_slit_disk('G3', 0.6, 0.2, n_s=64):.15g}\n"
+
+
+@pytest.mark.parametrize("desc, curve, base", [
+    ({"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 64},
+     lambda: make_opened_slit_disk("G3", 0.6, 0.2, 64), "0.8"),
+    ({"kind": "amoeba", "n": 256}, lambda: make_amoeba(256), "0"),
+], ids=["opened-slit", "amoeba"])
+def test_confrad_domain_file_is_the_library_value(desc, curve, base, tmp_path, capsys):
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(desc))
+    assert main(["confrad", str(path), "--base", base]) == 0
+    assert capsys.readouterr().out == f"{conformal_radius(curve(), complex(base)):.15g}\n"
+
+
+def test_solver_failure_exit_code(lshape_json, capsys, monkeypatch):
+    monkeypatch.setattr(kernel, "_MAX_ITERS", 1)
+    assert main(["hypdist", lshape_json, "--z1", "2i", "--z2", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver failure" in captured.err
+
+
 def test_harm_center_and_sum(square_json, capsys):
     rc = main(["harm", square_json, "--side", "2", "--z", "0"])
     assert rc == 0
@@ -264,10 +290,11 @@ def test_quadmod_oracle_rejected_before_solving(mode, square_json, capsys):
     assert "--oracle applies to --angles-pi mode" in captured.err
 
 
-def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
+def test_quadmod_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(invariants, "_QUAD_MAX_ITER", 2)
     trace = tmp_path / "trace.csv"
     rc = main(["quadmod", "--angles-pi=-0.5,-0.1,0.3,0.8", "--ns", "64",
-               "--quad-max", "2", "--trace", str(trace)])
+               "--trace", str(trace)])
     assert rc == 4
     captured = capsys.readouterr()
     assert "did not converge" in captured.err
@@ -299,18 +326,9 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "10"],
     ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--alpha", "nan"],
     ["hypdist", "{L}", "--z1", "nan", "--z2", "2"],
-    # solver settings out of range
-    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--max-gmres", "0"],
-    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--gmres-tol", "nan"],
-    ["hypdist", "{path}", "--z1", "0", "--z2", "0.5", "--gmres-tol", "-1"],
     # an explicit 0 reaches validation instead of the default
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--ns", "0"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--grading-p", "0"],
-    # iteration settings out of range
-    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "0"],
-    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "nan"],
-    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-eps", "-1"],
-    ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--quad-max", "0"],
     # a grid extent that is not finite
     ["hypdist", "{L}", "--z1", "2i", "--grid=-1,inf,-1,4,5,5", "--out", "{out}"],
     # no DOMAIN and no --ngon-sweep
@@ -344,6 +362,16 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys):
     ["hypdist", "{path}", "--z1", "zero", "--z2", "0.5"],
     # a smooth domain has no grading exponent
     ["confrad", "{E}", "--grading-p", "7"],
+    # node counts a builder refuses
+    ["confrad", "{G3}", "--ns", "4"],
+    ["confrad", "{E}", "--ns", "5"],
+    ["hypdist", "{L}", "--z1", "2i", "--z2", "2", "--ns", "7"],
+    # a side the domain does not have, and sides of a domain with no corners
+    ["harm", "{path}", "--side", "5", "--z", "0"],
+    ["harm", "{E}", "--sum", "--z", "2"],
+    # a finite base on an unbounded domain, and a family with no oracle
+    ["confrad", "{E}", "--base", "0"],
+    ["redmod", "{L}", "--sweep", "0.1:0.5:0.1"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
                                slit_json, tmp_path, capsys):

@@ -312,25 +312,31 @@ L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
      (np.linspace(-2, 2, 10)[None, :] + 1j * np.linspace(-1.5, 1.5, 9)[:, None]).ravel()),
 ], ids=["L-grid", "ellipse-exterior"])
 def test_boundary_sums_bits_independent_of_block_size(cv, z, monkeypatch):
-    # one row, a row count that divides neither the point nor the node
-    # count, and all rows give the same bits. The one exception: numpy
-    # hands a one-row Cauchy product to BLAS as a dot product, which rounds
-    # unlike the matrix-vector product, so there each point gets the bits
-    # it gets when evaluated alone
+    # the smallest blocks (a one-row budget gives two rows), a row count
+    # that divides neither the point nor the node count, and all rows give
+    # the same bits, and so does each point evaluated alone
     assert z.size % 7 and cv.n % 7
     values = np.cos(3.0 * cv.t) + 1j * cv.eta
     results = {}
     for rows in (1, 7, z.size):
         monkeypatch.setattr(curves, "_BLOCK_PAIRS", rows * cv.n)
         results[rows] = _boundary_sums(cv, z, values)
-    alone = np.concatenate([_boundary_sums(cv, zk, values)[2] for zk in z])
-    for rows, out in results.items():
-        for k, (got, want) in enumerate(zip(out, results[z.size])):
-            if k == 2 and rows == 1:
-                want = alone
+    alone = [np.concatenate(out) for out in zip(*(_boundary_sums(cv, zk, values) for zk in z))]
+    for out in [*results.values(), alone]:
+        for got, want in zip(out, results[z.size]):
             assert np.array_equal(got, want, equal_nan=True)
     if cv.orientation == "ccw":
         assert np.isnan(results[1][1]).any()
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_row_blocks_cover_the_rows_in_blocks_of_two_or_more(budget, monkeypatch):
+    # budget rows of 4 nodes per block; a lone last row joins the block before it
+    monkeypatch.setattr(curves, "_BLOCK_PAIRS", budget * 4)
+    for m in range(9):
+        blocks = [range(m)[sl] for sl in curves._row_blocks(m, 4)]
+        assert [i for rows in blocks for i in rows] == list(range(m))
+        assert all(len(rows) >= min(m, 2) for rows in blocks)
 
 
 def test_curve_arrays_are_frozen():

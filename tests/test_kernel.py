@@ -14,7 +14,7 @@ import pytest
 from conforminv import QuadConfig, curves, kernel, map_bounded, map_unbounded, quad_modulus
 from conforminv.curves import (make_amoeba, make_ellipse, make_opened_slit_disk, make_polygon,
                                make_rectangle, spectral_derivative)
-from conforminv.kernel import (ConvergenceError, GnkSolution, SolveConfig, _assemble,
+from conforminv.kernel import (ConvergenceError, GnkSolution, _assemble,
                                _circulant, _cot_row, _mirror_fold, _residual_longdouble,
                                _solve_dense, apply_M, bounded_context, conjugate_periodic,
                                solve_neumann_system, unbounded_context)
@@ -135,8 +135,9 @@ L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
     lambda: unbounded_context(make_ellipse(1.0, 0.5, 256, "exterior")),
 ], ids=["ellipse-interior", "L", "ellipse-exterior"])
 def test_assembly_bits_independent_of_block_size(build, monkeypatch):
-    # every entry and row sum keeps its order whatever the row block:
-    # one row, a row count that does not divide n, and all n rows
+    # every entry and row sum keeps its order whatever the row block: the
+    # smallest (a one-row budget gives two rows), a row count that does not
+    # divide n, and all n rows
     ctx = build()
     n = ctx.n
     assert n % 7 != 0
@@ -218,7 +219,7 @@ def test_dense_direct_matches_gmres():
     curve = make_ellipse(1.0, 0.4, 256, "interior")
     ctx = bounded_context(curve, 0.1 + 0.05j)
     gamma = -np.log(np.abs(ctx.A))
-    it = solve_neumann_system(ctx, gamma, SolveConfig())
+    it = solve_neumann_system(ctx, gamma)
     N, M1 = ctx.matrices()
     n, w = curve.n, curve.weight
     rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
@@ -228,12 +229,13 @@ def test_dense_direct_matches_gmres():
     assert abs(it.h - h) < 1e-13
 
 
-def test_gmres_iteration_cap_raises():
+def test_gmres_iteration_cap_raises(monkeypatch):
     curve = make_polygon([0.0, 2.0, 2.0 + 1.0j, 1.0j], 64)
     ctx = bounded_context(curve, 1.0 + 0.4j)
     gamma = -np.log(np.abs(ctx.A))
+    monkeypatch.setattr(kernel, "_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError) as err:
-        solve_neumann_system(ctx, gamma, SolveConfig(max_iters=2))
+        solve_neumann_system(ctx, gamma)
     assert err.value.residual > 0.0
 
 
@@ -281,17 +283,6 @@ def test_memo_bypassed_by_warm_start(assemblies):
     assert solve_neumann_system(*_l_problem()) is cold
 
 
-def test_memo_keyed_on_solver_settings():
-    ctx, gamma = _l_problem()
-    first = solve_neumann_system(ctx, gamma)
-    other = solve_neumann_system(ctx, gamma, SolveConfig(gmres_tol=1e-12))
-    assert other is not first
-    more = solve_neumann_system(ctx, gamma, SolveConfig(max_iters=99))
-    assert more is not first and more is not other
-    assert solve_neumann_system(ctx, gamma, SolveConfig()) is first
-    assert len(kernel._memo) == 3
-
-
 def test_memo_keyed_on_content_not_identity(assemblies):
     ctx, gamma = _l_problem()
     first = solve_neumann_system(ctx, gamma)
@@ -317,10 +308,11 @@ def test_memo_evicts_least_recently_used(circle, assemblies):
     assert solve_neumann_system(ctx, gammas[1]) is not sols[1]  # evicted
 
 
-def test_memo_never_stores_a_failed_solve(assemblies):
+def test_memo_never_stores_a_failed_solve(assemblies, monkeypatch):
+    monkeypatch.setattr(kernel, "_MAX_ITERS", 2)
     for attempt in range(1, 3):
         with pytest.raises(ConvergenceError):
-            solve_neumann_system(*_l_problem(), SolveConfig(max_iters=2))
+            solve_neumann_system(*_l_problem())
         assert len(assemblies) == attempt
     assert len(kernel._memo) == 0
 
@@ -356,19 +348,21 @@ def _breakdown_system(n=8):
 
 def test_refinement_repairs_a_failed_gmres_pass():
     A, b, x0 = _breakdown_system()
-    x, iters, refine, residual = _solve_dense(A, b, 1.0, x0, SolveConfig())
+    x, iters, refine, residual = _solve_dense(A, b, 1.0, x0)
     assert (iters, refine) == (1, 1)
     assert residual == 0.0
     assert np.array_equal(x, 2.0 * b)
 
 
-def test_refinement_counts_against_max_iters():
+def test_refinement_counts_against_max_iters(monkeypatch):
     # the failed pass used the whole budget of one iteration: no correction
     A, b, x0 = _breakdown_system()
+    monkeypatch.setattr(kernel, "_MAX_ITERS", 1)
     with pytest.raises(ConvergenceError) as err:
-        _solve_dense(A, b, 1.0, x0, SolveConfig(max_iters=1))
+        _solve_dense(A, b, 1.0, x0)
     assert err.value.residual == 1.0 / np.linalg.norm(b)
-    _, iters, refine, _ = _solve_dense(A, b, 1.0, x0, SolveConfig(max_iters=2))
+    monkeypatch.setattr(kernel, "_MAX_ITERS", 2)
+    _, iters, refine, _ = _solve_dense(A, b, 1.0, x0)
     assert iters + refine == 2
 
 
@@ -388,19 +382,21 @@ def test_longdouble_residual_is_exact_to_float64(circle, monkeypatch):
         assert max(abs(float(ri - e)) for ri, e in zip(r, exact)) <= 1e-18
 
 
-def test_solve_below_the_gmres_floor_passes():
-    # at gmres_tol 5e-16 the first GMRES pass on this ellipse can end a
-    # hair above the tolerance; the correction then takes the residual
-    # well below it. Either way the solve passes, and a memo hit reports
-    # the stored counts.
+def test_solve_below_the_gmres_floor_passes(monkeypatch):
+    # at a GMRES tolerance of 5e-16 the first pass on this ellipse can end
+    # a hair above it; the correction then takes the residual well below
+    # it. Either way the solve passes, and a memo hit reports the stored
+    # counts.
     curve = make_ellipse(1.0, 0.4, 256, "interior")
     ctx = bounded_context(curve, 0.1 + 0.05j)
     gamma = -np.log(np.abs(ctx.A))
-    cfg = SolveConfig(gmres_tol=5e-16)
-    sol = solve_neumann_system(ctx, gamma, cfg)
-    assert sol.residual <= 5e-16
-    assert sol.gmres_iters + sol.refine_iters <= cfg.max_iters
-    assert solve_neumann_system(ctx, gamma, cfg) is sol
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "_GMRES_TOL", 5e-16)
+        sol = solve_neumann_system(ctx, gamma)
+        assert sol.residual <= 5e-16
+        assert sol.gmres_iters + sol.refine_iters <= kernel._MAX_ITERS
+        assert solve_neumann_system(ctx, gamma) is sol
+    kernel._memo.clear()  # the memo key holds no tolerance: solve afresh
     default = solve_neumann_system(ctx, gamma)
     assert np.max(np.abs(sol.rho - default.rho)) <= 1e-13
 

@@ -31,6 +31,7 @@ DOMAINS = {
     "E.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "exterior", "n": 4096},
     "Ei.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "interior", "n": 1024},
     "G3.json": {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 512},
+    "A.json": {"kind": "amoeba", "n": 1024},
 }
 
 INVOCATIONS = (
@@ -41,6 +42,9 @@ INVOCATIONS = (
     ["redmod", "Ei.json", "--sweep", "0.2:1.0:0.2"],
     ["redmod", "G3.json", "--sweep", "0.3:0.9:0.1"],
     ["redmod", "--ngon-sweep", "3:6"],
+    ["harm", "L.json", "--side", "2", "--z", "2i"],  # a lone point's Cauchy sum
+    ["confrad", "G3.json", "--base", "0.8"],
+    ["confrad", "A.json", "--base", "0"],
 )
 
 
