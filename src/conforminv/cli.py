@@ -134,22 +134,29 @@ def _arg(parse):
     return convert
 
 
-def _setting(value, desc: dict, key: str, default=None):
-    """A command-line override unless it is None, else the domain file's field.
+def _setting(desc: dict, key: str, read=float, default=None, override=None):
+    """A command-line override unless it is None, else the domain file's field, read by `read`.
 
-    An explicit 0 is kept, so the builders reject it instead of a default
-    silently taking its place.
+    default stands in for an absent field. An explicit 0 is kept, so the
+    builders reject it instead of a default silently taking its place. A
+    missing field, or one whose JSON type `read` cannot take, is a
+    ValueError naming the field, not the cast's TypeError.
     """
+    value = desc.get(key, default) if override is None else override
     if value is None:
-        value = desc.get(key, default)
-        if value is None:
-            raise ValueError(f"domain file needs field {key!r}")
-    return value
+        raise ValueError(f"domain file needs field {key!r}")
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"domain file field {key!r}: {exc}") from None
 
 
 def _read_domain(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        desc = json.load(fh)
+    if not isinstance(desc, dict):
+        raise ValueError("a domain file holds one JSON object")
+    return desc
 
 
 def _curve(args):
@@ -161,29 +168,29 @@ def _build_domain(desc: dict, args):
     kind = desc.get("kind")
     if kind in ("ellipse", "amoeba") and args.grading_p is not None:
         raise ValueError(f"--grading-p applies to cornered domains, not to kind {kind!r}")
-    p = float(_setting(args.grading_p, desc, "grading_p", 3.0))
+    p = _setting(desc, "grading_p", float, 3.0, args.grading_p)
 
     def count(key, default=None):
         # --ns overrides the file's n (smooth kinds) or ns (panelled kinds)
-        return int(_setting(args.size, desc, key, default))
+        return _setting(desc, key, int, default, args.size)
 
     if kind == "polygon":
-        vertices = [_as_complex(v) for v in desc["vertices"]]
+        vertices = _setting(desc, "vertices", lambda vs: [_as_complex(v) for v in vs])
         return make_polygon(vertices, count("ns"), p=p)
     if kind == "ellipse":
         side = desc.get("side", "interior")
-        return make_ellipse(float(desc["a"]), float(desc["b"]), count("n"), side)
+        return make_ellipse(_setting(desc, "a"), _setting(desc, "b"), count("n"), side)
     if kind == "amoeba":
         return make_amoeba(count("n"))
     if kind == "arcs":
-        arcs = [(_as_complex(c), float(r), float(t0), float(t1))
-                for c, r, t0, t1 in desc["arcs"]]
+        arcs = _setting(desc, "arcs", lambda arcs: [
+            (_as_complex(c), float(r), float(t0), float(t1)) for c, r, t0, t1 in arcs])
         return make_circular_arc_polygon(arcs, count("ns"), p=p)
     if kind == "rectangle":
-        return make_rectangle(float(desc["r"]), count("ns"), p=p)
+        return make_rectangle(_setting(desc, "r"), count("ns"), p=p)
     if kind == "opened_slit":
-        return make_opened_slit_disk(desc["case"], float(desc["r"]),
-                                     a=float(desc.get("a", 0.0)),
+        return make_opened_slit_disk(desc["case"], _setting(desc, "r"),
+                                     a=_setting(desc, "a", float, 0.0),
                                      n_s=count("ns", 512), p=p)
     raise ValueError(f"unknown domain kind {kind!r}")
 
@@ -221,15 +228,15 @@ def cmd_hypdist(args) -> None:
 
 
 def _slit_modulus(args, desc: dict, r: float) -> float:
-    return reduced_modulus_slit_disk(desc["case"], r, float(desc.get("a", 0.0)),
-                                     n_s=int(_setting(args.size, desc, "ns", 512)),
-                                     p=float(_setting(args.grading_p, desc, "grading_p", 3.0)))
+    return reduced_modulus_slit_disk(desc["case"], r, _setting(desc, "a", float, 0.0),
+                                     n_s=_setting(desc, "ns", int, 512, args.size),
+                                     p=_setting(desc, "grading_p", float, 3.0, args.grading_p))
 
 
 def _redmod_sweep(args, desc: dict) -> None:
     kind = desc["kind"]
     if kind == "opened_slit":
-        case, a = desc["case"], float(desc.get("a", 0.0))
+        case, a = desc["case"], _setting(desc, "a", float, 0.0)
         values = [r for r in args.sweep if r > a]
     elif kind == "ellipse":
         side = desc.get("side", "interior")
@@ -254,8 +261,8 @@ def _redmod_sweep(args, desc: dict) -> None:
 
 
 def _redmod_ngon_sweep(args) -> None:
-    ns = int(_setting(args.size, {}, "ns", 512))
-    p = float(_setting(args.grading_p, {}, "grading_p", 3.0))
+    ns = _setting({}, "ns", int, 512, args.size)
+    p = _setting({}, "grading_p", float, 3.0, args.grading_p)
     lines = ["parameter,computed"]
     for ell in args.ngon_sweep:
         vertices = np.exp(2j * np.pi * np.arange(ell) / ell)
@@ -282,7 +289,7 @@ def cmd_redmod(args) -> None:
     if desc["kind"] == "opened_slit":
         if args.base is not None:
             raise ValueError("an opened slit disk uses its family's base point")
-        _print_scalar(_slit_modulus(args, desc, float(desc["r"])))
+        _print_scalar(_slit_modulus(args, desc, _setting(desc, "r")))
     else:
         _print_scalar(reduced_modulus(_build_domain(desc, args), base=args.base))
 
@@ -317,8 +324,8 @@ def _write_quad_trace(trace, path: str):
 
 
 def cmd_quadmod(args) -> int | None:
-    qcfg = QuadConfig(n_s=int(_setting(args.size, {}, "ns", 512)),
-                      grading_p=float(_setting(args.grading_p, {}, "grading_p", 3.0)))
+    qcfg = QuadConfig(n_s=_setting({}, "ns", int, 512, args.size),
+                      grading_p=_setting({}, "grading_p", float, 3.0, args.grading_p))
     if args.oracle and args.angles_pi is None:
         raise ValueError("--oracle applies to --angles-pi mode")
     if args.alpha is not None and args.params is None:

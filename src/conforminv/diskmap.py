@@ -30,7 +30,7 @@ number, nearest-node distance) share one pass over the boundary nodes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,7 +68,7 @@ class DiskMap:
 
 
 def _solve_map(ctx: KernelContext, base: complex, x0: np.ndarray | None = None) -> DiskMap:
-    ctx.fold = _mirror_fold(ctx.curve, base)
+    ctx = replace(ctx, fold=_mirror_fold(ctx.curve, base))
     dz = ctx.curve.eta - base
     gamma = -np.log(np.abs(dz))
     sol = solve_neumann_system(ctx, gamma, x0=x0)

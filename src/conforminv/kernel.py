@@ -48,15 +48,17 @@ domain. A builder declares the mirrors that send its nodes onto nodes
 (curves.Mirror): node i goes to (a - i) mod n across a line. When the
 base lies exactly on one mirror, or on two whose offsets differ by n/2,
 gamma = -log|eta - base| is even under them and rho is odd, so only the
-nodes q between adjacent fixed points are unknown (_mirror_fold). The
-disk maps set such a context's fold: it assembles just the rows of q
-and of the fixed nodes, at full width, and GMRES runs on the folded
-square matrix N[q, q] - N[q, s1] (one mirror), or
-N[q, q] - N[q, s1] - N[q, s2] + N[q, s12] (two), where s1, s2 and s12
-are the images of q under the mirrors and their product (Allgower,
-Georg and Miranda, SIAM J. Numer. Anal. 1992). A context made by
-bounded_context or unbounded_context keeps the full system, which stays
-the reference for the folded one.
+nodes q between adjacent fixed points are unknown (_mirror_fold). A
+context assembles just the rows of q and of the fixed nodes, at full
+width, and GMRES runs on the folded square matrix N[q, q] - N[q, s1]
+(one mirror), or N[q, q] - N[q, s1] - N[q, s2] + N[q, s12] (two), where
+s1, s2 and s12 are the images of q under the mirrors and their product
+(Allgower, Georg and Miranda, SIAM J. Numer. Anal. 1992). The full
+system is the fold by no mirrors, the identity: q and the rows are all
+n nodes and there is no image, so every solve takes the one path. A
+context made by bounded_context or unbounded_context has the identity
+fold and stays the reference for the folded ones; the disk maps make
+theirs with dataclasses.replace(ctx, fold=_mirror_fold(curve, base)).
 
 Solves are memoized by content: solve_neumann_system keeps the last
 _MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
@@ -100,29 +102,28 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelContext:
-    """A curve together with the auxiliary function A defining the kernels."""
+    """A curve, the auxiliary function A defining the kernels, and the fold.
+
+    Frozen, with the cache left out of __init__, so dataclasses.replace
+    gives a refolded context a cache of its own.
+    """
 
     curve: BoundaryCurve
     A: np.ndarray
-    alpha: complex | None = None
-    fold: _MirrorFold | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    alpha: complex | None
+    fold: _MirrorFold
+    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return self.curve.n
 
-    @property
-    def rows(self):
-        """The rows this context assembles: all of them, or a fold's Q then F."""
-        return slice(None) if self.fold is None else self.fold.rows
-
     def matrices(self):
-        """Dense Nystroem matrices (N, M1) at the context's rows, assembled once and cached."""
+        """Dense Nystroem matrices (N, M1) at the fold's rows, assembled once and cached."""
         if "NM" not in self._cache:
-            self._cache["NM"] = _assemble(self, None if self.fold is None else self.fold.rows)
+            self._cache["NM"] = _assemble(self)
         return self._cache["NM"]
 
 
@@ -134,14 +135,14 @@ def bounded_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
     # a non-finite alpha, or one on a node, gets nan winding sums: outside
     if not winding_inside(curve, alpha):
         raise ValueError("base point alpha must lie inside the domain")
-    return KernelContext(curve=curve, A=curve.eta - alpha, alpha=alpha)
+    return KernelContext(curve, curve.eta - alpha, alpha, _mirror_fold(curve, None))
 
 
 def unbounded_context(curve: BoundaryCurve) -> KernelContext:
     """Kernel data for an unbounded domain: A(t) = 1."""
     if curve.orientation != "cw":
         raise ValueError("unbounded mode expects a clockwise curve")
-    return KernelContext(curve=curve, A=np.ones(curve.n, dtype=complex), alpha=None)
+    return KernelContext(curve, np.ones(curve.n, dtype=complex), None, _mirror_fold(curve, None))
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,8 @@ class _MirrorFold:
     images pairs each other element of the group the mirrors generate with
     its sign and its image of q: -1 for a mirror, +1 for the product of
     two. fixed holds the nodes a mirror fixes; rows is q followed by fixed.
-    offsets records the folded mirrors' a_k.
+    offsets records the folded mirrors' a_k. The identity, the fold by no
+    mirrors, has every node in q and rows, and no image or fixed node.
     """
 
     n: int
@@ -166,6 +168,8 @@ class _MirrorFold:
 
     def fold(self, Nq: np.ndarray) -> np.ndarray:
         """The folded matrix from the rows q of a matrix (full width)."""
+        if not self.images:  # the identity: Nq itself, no n^2 copy
+            return Nq
         folded = np.take(Nq, self.q, axis=1)
         for sign, idx in self.images:
             (np.add if sign > 0 else np.subtract)(folded, np.take(Nq, idx, axis=1), out=folded)
@@ -185,17 +189,20 @@ class _MirrorFold:
         return float((order * np.sum(values[:m]) + np.sum(values[m:])) / self.n)
 
 
-def _mirror_fold(curve: BoundaryCurve, base: complex) -> _MirrorFold | None:
-    """The fold over the curve's declared mirrors that hold base exactly, if any."""
+def _mirror_fold(curve: BoundaryCurve, base: complex | None) -> _MirrorFold:
+    """The fold over the curve's declared mirrors that hold base exactly.
+
+    With no such mirror (or base None) it is the identity, the full system.
+    """
     # base on the line exactly, with no tolerance
-    mirrors = [m for m in curve.mirrors
-               if ((base - m.point) * m.direction.conjugate()).imag == 0.0]
+    mirrors = [m for m in curve.mirrors if base is not None
+               and ((base - m.point) * m.direction.conjugate()).imag == 0.0]
+    n, i = curve.n, np.arange(curve.n)
     if not mirrors:
-        return None
-    n, a = curve.n, mirrors[0].a
+        return _MirrorFold(n=n, offsets=(), q=i, images=(), fixed=i[:0], rows=i)
+    a = mirrors[0].a
     if len(mirrors) > 2 or (len(mirrors) == 2 and (mirrors[1].a - a) % n != n // 2):
         raise ValueError("a fold takes one mirror, or two whose offsets differ by n/2")
-    i = np.arange(n)
     maps = [(m.a - i) % n for m in mirrors]
     q = i[(a < 2 * i) & (2 * i < a + n // len(maps))]
     images = [(-1.0, s[q]) for s in maps]
@@ -225,23 +232,24 @@ def _circulant(row: np.ndarray) -> np.ndarray:
     return sliding_window_view(doubled, n)[::-1][1:]
 
 
-def _assemble(ctx: KernelContext, rows: np.ndarray | None = None):
-    """Dense (N, M1) matrices, or their given rows at full width, in row blocks.
+def _assemble(ctx: KernelContext):
+    """The rows of (N, M1) that the context's fold holds, at full width, in row blocks.
 
     The blocks and their node differences come from curves._row_blocks,
-    so the temporaries stay in cache and peak memory is N and M1 plus a
-    few MB. The cotangent correction is added from a circulant view of one
-    table row; with rows None the blocks are slices of the nodes, with no
-    per-block index array or gather. Each entry and row sum is formed in
-    the same order whatever the block size, and a row has the same bits
-    whichever rows are built.
+    so the temporaries stay in cache and peak memory is the assembled
+    rows plus a few MB; under the identity fold those are all of N and
+    M1. The cotangent correction is added from a circulant view of one
+    table row. Each entry and row sum is formed in the same order
+    whatever the block size, and a row has the same bits whichever rows
+    are built.
 
     Diagonals come from the row-sum rule: with weight w = 2 pi / n,
     w * sum_j N[i, j] = -1 and w * sum_j M1[i, j] = 0 exactly.
     """
     cv = ctx.curve
     n = cv.n
-    z = cv.eta if rows is None else cv.eta[rows]  # where the rows' nodes lie
+    rows = ctx.fold.rows
+    z = cv.eta[rows]  # where the rows' nodes lie
     col = np.zeros(n, dtype=complex)
     nz = cv.deta != 0.0  # corner columns stay exactly zero
     col[nz] = cv.deta[nz] / (ctx.A[nz] * np.pi)
@@ -250,7 +258,7 @@ def _assemble(ctx: KernelContext, rows: np.ndarray | None = None):
     M1 = np.empty((z.size, n), dtype=float)
     inv_w = n / (2.0 * np.pi)
     for out, diff in _row_blocks(z.size, n, cv.eta, z):
-        src = out if rows is None else rows[out]  # the indices of these rows' nodes
+        src = rows[out]  # the indices of these rows' nodes
         Nb, Mb = N[out], M1[out]
         diag = (np.arange(Nb.shape[0]), np.arange(n)[src])
         diff[diag] = 1.0  # placeholder, diagonal set below
@@ -281,10 +289,10 @@ def conjugate_periodic(values: np.ndarray) -> np.ndarray:
 
 
 def apply_M(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:
-    """M rho at the context's rows: spectral cotangent part plus M1."""
+    """M rho at the fold's rows: spectral cotangent part plus M1."""
     _, M1 = ctx.matrices()
     rho = np.asarray(rho, dtype=float)
-    return -conjugate_periodic(rho)[ctx.rows] + ctx.curve.weight * (M1 @ rho)
+    return -conjugate_periodic(rho)[ctx.fold.rows] + ctx.curve.weight * (M1 @ rho)
 
 
 @dataclass(frozen=True)
@@ -325,7 +333,7 @@ def _memo_key(ctx: KernelContext, gamma: np.ndarray):
     digest = hashlib.blake2b(digest_size=16)
     for arr in (ctx.curve.eta, ctx.curve.deta, ctx.A, gamma):
         digest.update(arr.tobytes())
-    return digest.digest(), ctx.fold and ctx.fold.offsets
+    return digest.digest(), ctx.fold.offsets
 
 
 def _gmres(op, b, x0, rtol, budget):
@@ -354,16 +362,14 @@ def _solve_dense(A: np.ndarray, b: np.ndarray, w: float, x0):
     above it at the float64 floor, one correction solve on the residual
     formed in long double precision gets a second chance. Its iterations
     come out of the same _MAX_ITERS budget. ConvergenceError is raised only
-    if the true residual still misses _GMRES_TOL.
+    if the true residual still misses _GMRES_TOL. A zero b needs no
+    branch: GMRES returns x = b = 0 before its first iteration.
     """
     m = b.shape[0]
     b_norm = float(np.linalg.norm(b))
-    iters, refine, info = 0, 0, 0
+    refine = 0
     op = LinearOperator((m, m), matvec=lambda v: v - w * (A @ v), dtype=float)
-    if b_norm == 0.0:
-        x = np.zeros(m)
-    else:
-        x, info, iters = _gmres(op, b, x0, _GMRES_TOL, _MAX_ITERS)
+    x, info, iters = _gmres(op, b, x0, _GMRES_TOL, _MAX_ITERS)
 
     def true_residual(x):  # relative, not GMRES's recurrence estimate
         res = float(np.linalg.norm(x - w * (A @ x) - b))
@@ -391,12 +397,14 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     h is the average of the pointwise values; their spread h_spread is a
     useful self-check (it vanishes with the discretization error).
 
-    On a folded context (ctx.fold set, see _mirror_fold) gamma must be even
-    under each folded mirror; rho is then odd under each, and GMRES runs on
-    the rows q of the folded matrix, N[q, q] plus N[q, image] times the
-    image's sign for each group image of q, with x0 restricted to q. h is
-    the mean of the pointwise values at q (weighted by the group order)
-    and at the fixed nodes (weight 1), and residual is the folded system's.
+    gamma must be even under each mirror of the context's fold (see
+    _mirror_fold); rho is then odd under each, and GMRES runs on the rows
+    q of the folded matrix, N[q, q] plus N[q, image] times the image's sign
+    for each group image of q, with x0 restricted to q. h is the mean of
+    the pointwise values at q (weighted by the group order) and at the
+    fixed nodes (weight 1), and residual is the folded system's. Under the
+    identity fold (bounded_context, unbounded_context) these are the full
+    system, the plain mean and its residual, and gamma may be any data.
 
     Without x0, the solution is memoized on a hash of eta, eta', A and
     gamma, and on which mirrors were folded: a repeat returns the stored
@@ -416,22 +424,17 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
         _memo.move_to_end(key)
         return _memo[key]
     N, M1 = ctx.matrices()
-    w = ctx.curve.weight
-    fold = ctx.fold
-    if fold is None:
-        rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
-        rho, iters, refine, residual = _solve_dense(N, rhs, w, x0)
-    else:
-        m = fold.q.size
-        rhs = conjugate_periodic(gamma)[fold.q] - w * (M1[:m] @ gamma)
-        x, iters, refine, residual = _solve_dense(
-            fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q])
-        rho = fold.unfold(x)
-    h_pw = 0.5 * (apply_M(ctx, rho) - gamma[ctx.rows] + w * (N @ gamma))
-    h = float(np.mean(h_pw)) if fold is None else fold.mean(h_pw)
+    w, fold = ctx.curve.weight, ctx.fold
+    m = fold.q.size
+    rhs = conjugate_periodic(gamma)[fold.q] - w * (M1[:m] @ gamma)
+    x, iters, refine, residual = _solve_dense(
+        fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q])
+    rho = fold.unfold(x)
+    h_pw = 0.5 * (apply_M(ctx, rho) - gamma[fold.rows] + w * (N @ gamma))
+    h = fold.mean(h_pw)
     spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
     sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters, residual=residual,
-                      refine_iters=refine, folded=0 if fold is None else len(fold.offsets))
+                      refine_iters=refine, folded=len(fold.offsets))
     if key is not None:
         _memo[key] = sol
         if len(_memo) > _MEMO_SIZE:

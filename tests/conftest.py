@@ -31,7 +31,7 @@ def assemblies(monkeypatch):
     calls = []
     assemble = kernel._assemble
     monkeypatch.setattr(kernel, "_assemble",
-                        lambda ctx, rows=None: calls.append(1) or assemble(ctx, rows))
+                        lambda ctx: calls.append(1) or assemble(ctx))
     return calls
 
 

@@ -218,7 +218,12 @@ def test_redmod_opened_slit_scalar_is_the_library_value(slit_json, capsys):
     ({"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 64},
      lambda: make_opened_slit_disk("G3", 0.6, 0.2, 64), "0.8"),
     ({"kind": "amoeba", "n": 256}, lambda: make_amoeba(256), "0"),
-], ids=["opened-slit", "amoeba"])
+    # vertices as complex literals, and as plain numbers
+    ({"kind": "polygon", "vertices": ["1+1i", "-1+1i", "-1-1i", "1-1i"], "ns": 32},
+     lambda: make_polygon([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j], 32), "0.1+0.1j"),
+    ({"kind": "polygon", "vertices": [1, "1i", -1, "-1i"], "ns": 32},
+     lambda: make_polygon([1, 1j, -1, -1j], 32), "0.1+0.1j"),
+], ids=["opened-slit", "amoeba", "string-vertices", "number-vertices"])
 def test_confrad_domain_file_is_the_library_value(desc, curve, base, tmp_path, capsys):
     path = tmp_path / "domain.json"
     path.write_text(json.dumps(desc))
@@ -372,6 +377,8 @@ def test_quadmod_nonconvergence_exit_code(tmp_path, capsys, monkeypatch):
     # a finite base on an unbounded domain, and a family with no oracle
     ["confrad", "{E}", "--base", "0"],
     ["redmod", "{L}", "--sweep", "0.1:0.5:0.1"],
+    # a grid of five values
+    ["hypdist", "{L}", "--z1", "2i", "--grid=-1,6,-1,4,5", "--out", "{out}"],
 ])
 def test_validation_exit_codes(argv, disk_json, square_json, lshape_json, ellipse_json,
                                slit_json, tmp_path, capsys):
@@ -427,6 +434,30 @@ def test_nonfinite_domain_is_validation_error(desc, tmp_path, capsys):
     path.write_text(json.dumps(desc))
     assert main(["confrad", str(path), "--base", "0.1"]) == 2
     assert "curve data must be finite" in capsys.readouterr().err
+
+
+SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "ellipse", "a": None, "b": 0.5, "n": 64}, "field 'a'"),
+    ({"kind": "polygon", "vertices": 5, "ns": 16}, "field 'vertices'"),
+    ([1, 2], "one JSON object"),
+    ({"kind": "polygon", "vertices": SQUARE, "ns": [16]}, "field 'ns'"),
+    ({"kind": "polygon", "vertices": [[1]] + SQUARE[1:], "ns": 16}, "need [re, im]"),
+    ({"kind": "polygon", "vertices": SQUARE}, "needs field 'ns'"),
+    # three sides of 9 nodes: the solver's even-count check
+    ({"kind": "polygon", "vertices": [[0, 0], [2, 0], [0, 2]], "ns": 9}, "must be even"),
+], ids=["null-semiaxis", "number-vertices", "list-document", "list-ns", "one-element-pair",
+        "no-ns", "odd-node-count"])
+def test_malformed_domain_file_is_validation_error(doc, message, tmp_path, capsys):
+    # a field of the wrong JSON type, or a document that is no object, used
+    # to escape as a TypeError or AttributeError with exit 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["confrad", str(path), "--base", "0.1+0.1i"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
 
 
 def test_clockwise_arc_chain_is_validation_error(tmp_path, capsys):

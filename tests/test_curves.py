@@ -349,3 +349,6 @@ def test_curve_shape_check():
     with pytest.raises(ValueError):
         BoundaryCurve(n=4, t=np.zeros(3), eta=np.zeros(4, complex),
                       deta=np.zeros(4, complex))
+    with pytest.raises(ValueError, match="orientation"):
+        BoundaryCurve(n=4, t=np.zeros(4), eta=np.zeros(4, complex),
+                      deta=np.zeros(4, complex), orientation="up")

@@ -132,6 +132,10 @@ def test_mobius_three_points_interpolates(rng):
         inv = psi.inverse()
         np.testing.assert_allclose(inv(psi(np.array([0.3 + 0.1j]))),
                                    [0.3 + 0.1j], atol=1e-12)
+    with pytest.raises(ValueError, match="exactly three"):
+        mobius_three_points((1.0, 1j), (1.0, 1j, -1.0))
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        mobius_three_points((1.0, 1j, 1.0), (1.0, 1j, -1.0))
 
 
 def test_mobius_unimodular_anchors_preserve_circle(rng):
@@ -154,6 +158,9 @@ def test_slit_opening_base_images():
     assert abs(slit_opening_forward("G1", 0.25, 0.25) - 0.5) < 1e-15
     assert abs(slit_opening_forward("G2", 0.5, 0.0) - (-1.0)) < 1e-15
     assert abs(slit_opening_forward("G3", 0.6, 0.6, a=0.2) - 0.8) < 1e-15
+    for case, z in (("G1", -0.5), ("G2", 0.7), ("G3", 0.1)):
+        with pytest.raises(ValueError, match="on the slit"):
+            slit_opening_forward(case, 0.5, z, a=0.2 if case == "G3" else 0.0)
 
 
 def test_slit_opening_matches_curve_nodes():

@@ -246,6 +246,11 @@ def test_context_validation(circle):
         unbounded_context(circle(32))
     with pytest.raises(ValueError):
         bounded_context(circle(32), 1.0 + 0.0j)  # on the boundary
+    with pytest.raises(ValueError, match="gamma must match"):
+        solve_neumann_system(bounded_context(circle(32), 0.0), np.zeros(31))
+    triangle = make_polygon([0.0, 2.0, 2j], 9)  # 27 nodes
+    with pytest.raises(ValueError, match="node count must be even"):
+        solve_neumann_system(bounded_context(triangle, 0.5 + 0.5j), np.zeros(27))
 
 
 # ------------------------------------------------------------- solve memo
@@ -410,8 +415,7 @@ def test_solution_record_defaults():
 
 def _folded(ctx, base):
     """ctx folded over the curve's mirrors that hold base, as the disk maps fold it."""
-    ctx.fold = _mirror_fold(ctx.curve, base)
-    return ctx
+    return dataclasses.replace(ctx, fold=_mirror_fold(ctx.curve, base))
 
 
 # (curve, base, mirrors the base lies on) for each declared symmetry family
@@ -477,11 +481,12 @@ def test_rectangle_reflections_map_nodes_onto_nodes(n_s):
 
 def test_row_assembly_keeps_the_full_bits(monkeypatch):
     ctx = bounded_context(make_rectangle(1.3, 64), 0.5 + 0.65j)
-    rows = _mirror_fold(ctx.curve, ctx.alpha).rows
+    folded = _folded(ctx, ctx.alpha)
+    rows = folded.fold.rows
     N, M1 = ctx.matrices()
     for block in (1, 7, rows.size):
         monkeypatch.setattr(curves, "_BLOCK_PAIRS", block * ctx.n)
-        Nr, Mr = _assemble(ctx, rows)
+        Nr, Mr = _assemble(folded)
         assert np.array_equal(Nr, N[rows]) and np.array_equal(Mr, M1[rows])
 
 
@@ -545,7 +550,7 @@ def test_folded_map_matches_full(build, base, count):
 ], ids=["ellipse-interior", "ellipse-exterior", "G1", "rectangle"])
 def test_base_off_every_mirror_takes_the_full_path(build, base):
     curve = build()
-    assert _mirror_fold(curve, base) is None
+    assert _mirror_fold(curve, base).offsets == ()
     sol = _map(curve, base).solution
     full = _full_solution(curve, base)
     assert sol.folded == 0
@@ -575,6 +580,21 @@ def test_folded_map_peak_memory_is_the_folded_rows():
         tracemalloc.stop()
     assert dm.solution.folded == 2
     assert peak <= 16 * (n // 4 + 3) * n + 8 * (n // 4 - 1) ** 2 + 16 * 2**20
+
+
+def test_unfolded_map_peak_memory_is_the_matrices():
+    # the amoeba declares no mirror, so its map solves under the identity
+    # fold, which must hand GMRES N itself: no second n x n matrix
+    n = 2048
+    curve = make_amoeba(n)
+    tracemalloc.start()
+    try:
+        dm = map_bounded(curve, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dm.solution.folded == 0
+    assert peak <= 16 * n * n + 16 * 2**20
 
 
 def test_memo_keeps_folded_and_full_solves_apart(assemblies):

@@ -93,6 +93,8 @@ def test_marked_point_validation():
             quad_modulus(*pts)
     with pytest.raises(ValueError):  # not counterclockwise
         quad_modulus(good[0], good[2], good[1], good[3])
+    with pytest.raises(ValueError, match="four marked points"):
+        invariants._check_circle_quad(good[:3])
 
 
 def test_general_domain_validation():
@@ -105,6 +107,8 @@ def test_general_domain_validation():
         quad_modulus_general(curve, [0.0, 1e-9, 1.0, 2.0])
     with pytest.raises(ValueError):  # alpha outside
         quad_modulus_general(curve, [0.0, 1.0, 2.0, 3.0], alpha=5.0 + 0.0j)
+    with pytest.raises(ValueError, match="four parameter values"):
+        quad_modulus_general(curve, [0.0, 1.0, 2.0])
 
 
 @pytest.mark.parametrize("params", [[np.nan, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 3.0]])

@@ -4,8 +4,16 @@ Each invocation runs ``python -m conforminv.cli`` on the ``src`` tree
 beside this script's parent, in a fresh temporary directory that holds
 the domain files below, with one BLAS thread. One line is printed per
 invocation: the exit code, the sha256 of standard output, the sha256 of
-each file the run wrote, then the command line. Run it in two checkouts
-and diff the outputs to see which results changed in any bit:
+each file the run wrote, then the command line.
+
+The CLI prints scalars with 15 significant digits, so a change in the
+last bits of a result can leave its digest the same. A second section
+therefore runs the library calls behind the invocations in this process,
+also with one BLAS thread, and prints their results exactly: float.hex
+of each scalar and the sha256 of each array's bytes.
+
+Run it in two checkouts and diff the outputs to see which results
+changed in any bit:
 
     python3 tools/cli_digest.py
 
@@ -66,12 +74,47 @@ def digest(argv: list, env: dict) -> str:
     return " ".join(parts + argv)
 
 
+def library_lines():
+    """'name exact-value' lines for the library calls behind the invocations."""
+    import numpy as np
+
+    from conforminv import (QuadConfig, harmonic_measure, make_amoeba, make_ellipse,
+                            make_polygon, map_bounded, map_unbounded, quad_modulus,
+                            reduced_modulus)
+
+    lshape = DOMAINS["L.json"]
+    curve = make_polygon([complex(*v) for v in lshape["vertices"]], lshape["ns"],
+                         p=lshape["grading_p"])
+    ellipse = make_ellipse(1.0, 0.5, 4096, "exterior")
+    maps = {"L base 2i": map_bounded(curve, 2j), "L base 2": map_bounded(curve, 2.0),
+            "amoeba base 0": map_bounded(make_amoeba(DOMAINS["A.json"]["n"]), 0.0),
+            # off both axes, so unfolded
+            "exterior ellipse beta 0.1+0.05i": map_unbounded(ellipse, 0.1 + 0.05j)}
+    for name, dmap in maps.items():
+        sol = dmap.solution
+        yield f"{name} rho={_sha(sol.rho.tobytes())}"
+        for field in ("h", "h_spread", "residual"):
+            yield f"{name} {field}={float(getattr(sol, field)).hex()}"
+        yield f"{name} gmres_iters={sol.gmres_iters} folded={sol.folded}"
+    yield f"harm L side 2 at 2i={float(harmonic_measure(curve, 2, None, [2j])[0]).hex()}"
+    yield f"redmod exterior ellipse 1, 0.5={float(reduced_modulus(ellipse)).hex()}"
+    for name, angles in (("-1,-0.5,0,0.5", (-1.0, -0.5, 0.0, 0.5)),
+                         ("0,0.5,0.8,1.5", (0.0, 0.5, 0.8, 1.5))):
+        trace = quad_modulus(*(complex(np.exp(1j * np.pi * a)) for a in angles),
+                             cfg=QuadConfig(n_s=512))
+        yield f"quadmod angles-pi {name} r={float(trace.r).hex()} iterations={trace.iterations}"
+
+
 def main() -> int:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # before numpy is first imported, so library_lines runs on one BLAS thread too
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     for argv in INVOCATIONS:
         print(digest(argv, env), flush=True)
+    sys.path.insert(0, str(SRC))
+    for line in library_lines():
+        print(line, flush=True)
     return 0
 
 
