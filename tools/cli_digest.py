@@ -40,19 +40,30 @@ DOMAINS = {
     "Ei.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "interior", "n": 1024},
     "G3.json": {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 512},
     "A.json": {"kind": "amoeba", "n": 1024},
+    "R.json": {"kind": "rectangle", "r": 2.0, "ns": 256},
+    "D.json": {"kind": "arcs", "arcs": [[[0, 0], 1.0, 0.0, 6.283185307179586]], "ns": 256},
 }
 
 INVOCATIONS = (
     ["hypdist", "L.json", "--z1", "2i", "--grid=-1,6,-1,4,141,101", "--out", "f.csv"],
     ["hypdist", "L.json", "--z1", "2i", "--z2", "5"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--trace", "t.csv"],
+    ["quadmod", "--angles-pi=0,0.5,0.8,1.5", "--oracle"],
+    ["quadmod", "--points", "1,i,-1,-i"],
+    ["quadmod", "L.json", "--params", "0,1.5,3,4.5"],
+    ["redmod", "E.json"],
+    ["redmod", "G3.json"],
     ["redmod", "E.json", "--sweep", "0.1:1.0:0.05"],
     ["redmod", "Ei.json", "--sweep", "0.2:1.0:0.2"],
     ["redmod", "G3.json", "--sweep", "0.3:0.9:0.1"],
     ["redmod", "--ngon-sweep", "3:6"],
     ["harm", "L.json", "--side", "2", "--z", "2i"],  # a lone point's Cauchy sum
+    ["harm", "L.json", "--sum", "--z", "2i"],
+    ["harm", "L.json", "--sum", "--grid=-1,6,-1,4,36,26", "--out", "h.json", "--format", "json"],
     ["confrad", "G3.json", "--base", "0.8"],
     ["confrad", "A.json", "--base", "0"],
+    ["confrad", "R.json", "--base", "0.5+1i"],
+    ["confrad", "D.json", "--base", "0.3+0.2i"],
 )
 
 
