@@ -7,7 +7,7 @@ hypdist DOMAIN --z1 Z (--z2 Z | --grid G --out FILE [--format csv|json])
 harm DOMAIN [--side K | --sum] (--z Z | --grid G --out FILE [--format csv|json])
     harmonic measure of one boundary side, or of all, at a point or on a grid
 redmod DOMAIN [--base B]
-    reduced modulus
+    reduced modulus; an opened slit disk's at its family's base point
 redmod DOMAIN --sweep START:STOP:STEP [--out FILE]
     reduced modulus against its oracle over an ellipse or slit-disk family
 redmod --ngon-sweep LMIN:LMAX [--out FILE]
@@ -27,6 +27,11 @@ Domains are JSON files such as
     {"kind": "rectangle", "r": 2.0, "ns": 512}
     {"kind": "arcs", "arcs": [[[0,0], 1.0, 0.0, 6.283185307179586]], "ns": 256}
     {"kind": "opened_slit", "case": "G2", "r": 0.5, "a": 0.0, "ns": 512}
+
+One loader, _build_domain, turns a description into its builder call and
+applies --ns and --grading-p. redmod's sweeps hand it one description per
+family member or regular polygon, and every mode takes its modulus from
+one helper. A missing or mistyped field is a validation error naming it.
 
 Complex values on the command line accept either "1+4j" or "1+4i".
 Exit codes: 0 success, 2 validation or usage error, 3 solver failure,
@@ -164,8 +169,13 @@ def _curve(args):
     return _build_domain(_read_domain(args.domain), args)
 
 
-def _build_domain(desc: dict, args):
-    kind = desc.get("kind")
+def _build_domain(desc: dict, args, slit=make_opened_slit_disk):
+    """The builder call a domain description asks for, with the --ns/--grading-p overrides.
+
+    An opened slit disk's fields go to `slit`: make_opened_slit_disk for its
+    curve, or reduced_modulus_slit_disk for its modulus at the family's base point.
+    """
+    kind = _setting(desc, "kind", str)
     if kind in ("ellipse", "amoeba") and args.grading_p is not None:
         raise ValueError(f"--grading-p applies to cornered domains, not to kind {kind!r}")
     p = _setting(desc, "grading_p", float, 3.0, args.grading_p)
@@ -178,7 +188,7 @@ def _build_domain(desc: dict, args):
         vertices = _setting(desc, "vertices", lambda vs: [_as_complex(v) for v in vs])
         return make_polygon(vertices, count("ns"), p=p)
     if kind == "ellipse":
-        side = desc.get("side", "interior")
+        side = _setting(desc, "side", str, "interior")
         return make_ellipse(_setting(desc, "a"), _setting(desc, "b"), count("n"), side)
     if kind == "amoeba":
         return make_amoeba(count("n"))
@@ -189,9 +199,8 @@ def _build_domain(desc: dict, args):
     if kind == "rectangle":
         return make_rectangle(_setting(desc, "r"), count("ns"), p=p)
     if kind == "opened_slit":
-        return make_opened_slit_disk(desc["case"], _setting(desc, "r"),
-                                     a=_setting(desc, "a", float, 0.0),
-                                     n_s=count("ns", 512), p=p)
+        return slit(_setting(desc, "case", str), _setting(desc, "r"),
+                    a=_setting(desc, "a", float, 0.0), n_s=count("ns", 512), p=p)
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -227,71 +236,66 @@ def cmd_hypdist(args) -> None:
     _print_scalar(hyperbolic_distance(curve, alpha, args.z1, args.z2))
 
 
-def _slit_modulus(args, desc: dict, r: float) -> float:
-    return reduced_modulus_slit_disk(desc["case"], r, _setting(desc, "a", float, 0.0),
-                                     n_s=_setting(desc, "ns", int, 512, args.size),
-                                     p=_setting(desc, "grading_p", float, 3.0, args.grading_p))
+def _modulus(desc: dict, args, base) -> float:
+    """Reduced modulus of a domain description; an opened slit disk's is at its family's base."""
+    if _setting(desc, "kind", str) != "opened_slit":
+        return reduced_modulus(_build_domain(desc, args), base=base)
+    if base is not None:
+        raise ValueError("an opened slit disk uses its family's base point")
+    return _build_domain(desc, args, slit=reduced_modulus_slit_disk)
 
 
-def _redmod_sweep(args, desc: dict) -> None:
-    kind = desc["kind"]
+def _ngon_rows(ells) -> list:
+    """(ell, description, base, no oracle value) of each regular ell-gon of --ngon-sweep."""
+    rows = []
+    for ell in ells:
+        vertices = np.exp(2j * np.pi * np.arange(ell) / ell)  # inscribed in the unit circle
+        desc = {"kind": "polygon", "vertices": [(v.real, v.imag) for v in vertices], "ns": 512}
+        rows.append((ell, desc, 0.0, None))
+    return rows
+
+
+def _sweep_rows(desc: dict, values) -> list:
+    """(r, description, base, oracle value) of each member of a --sweep family."""
+    kind = _setting(desc, "kind", str)
     if kind == "opened_slit":
-        case, a = desc["case"], _setting(desc, "a", float, 0.0)
-        values = [r for r in args.sweep if r > a]
+        case, a = _setting(desc, "case", str), _setting(desc, "a", float, 0.0)
+        rows = [(r, dict(desc, r=r), None) for r in values if r > a]
     elif kind == "ellipse":
-        side = desc.get("side", "interior")
-        case, a, values = f"ellipse_{side}", 0.0, args.sweep
+        side = _setting(desc, "side", str, "interior")
+        case, a = f"ellipse_{side}", 0.0
+        if side == "exterior":  # semiaxes (1, r), base at infinity
+            rows = [(r, dict(desc, a=1.0, b=r), None) for r in values]
+        else:  # semiaxes (cosh r, sinh r), base 0
+            rows = [(r, dict(desc, a=float(np.cosh(r)), b=float(np.sinh(r))), 0.0)
+                    for r in values]
     else:
         raise ValueError(f"no oracle sweep for domain kind {kind!r}")
-    if not values:
+    if not rows:
         raise ValueError("sweep range is empty")
     # the oracle refuses a parameter out of range before anything is solved
-    exact = [oracle_reduced_modulus(case, r, a) for r in values]
-    lines = ["parameter,computed,exact,abs_error"]
-    for r, e in zip(values, exact):
-        if kind == "opened_slit":
-            m = _slit_modulus(args, desc, r)
-        else:
-            exterior = side == "exterior"
-            semiaxes = (1.0, r) if exterior else (float(np.cosh(r)), float(np.sinh(r)))
-            curve = _build_domain(dict(desc, a=semiaxes[0], b=semiaxes[1]), args)
-            m = reduced_modulus(curve, base=None if exterior else 0.0)
-        lines.append(f"{r:.15g},{m:.15g},{e:.15g},{abs(m - e):.15g}")
-    _write_lines(lines, args.out)
-
-
-def _redmod_ngon_sweep(args) -> None:
-    ns = _setting({}, "ns", int, 512, args.size)
-    p = _setting({}, "grading_p", float, 3.0, args.grading_p)
-    lines = ["parameter,computed"]
-    for ell in args.ngon_sweep:
-        vertices = np.exp(2j * np.pi * np.arange(ell) / ell)
-        curve = make_polygon(list(vertices), ns, p=p)
-        m = reduced_modulus(curve, base=0.0)
-        lines.append(f"{ell},{m:.15g}")
-    _write_lines(lines, args.out)
+    return [(r, d, base, oracle_reduced_modulus(case, r, a)) for r, d, base in rows]
 
 
 def cmd_redmod(args) -> None:
     if args.ngon_sweep is not None:
-        if args.domain or args.base is not None:
-            raise ValueError("--ngon-sweep takes no DOMAIN and no --base")
-        return _redmod_ngon_sweep(args)
-    if not args.domain:
+        if args.domain:
+            raise ValueError("--ngon-sweep takes no DOMAIN")
+        rows = _ngon_rows(args.ngon_sweep)
+    elif not args.domain:
         raise ValueError("redmod needs DOMAIN unless --ngon-sweep is given")
-    if args.sweep is not None:
-        if args.base is not None:
-            raise ValueError("--sweep uses each family's base point and takes no --base")
-        return _redmod_sweep(args, _read_domain(args.domain))
-    if args.out is not None:
+    elif args.sweep is not None:
+        rows = _sweep_rows(_read_domain(args.domain), args.sweep)
+    elif args.out is not None:
         raise ValueError("--out applies to --sweep and --ngon-sweep")
-    desc = _read_domain(args.domain)
-    if desc["kind"] == "opened_slit":
-        if args.base is not None:
-            raise ValueError("an opened slit disk uses its family's base point")
-        _print_scalar(_slit_modulus(args, desc, _setting(desc, "r")))
     else:
-        _print_scalar(reduced_modulus(_build_domain(desc, args), base=args.base))
+        return _print_scalar(_modulus(_read_domain(args.domain), args, args.base))
+    lines = ["parameter,computed" + (",exact,abs_error" if args.sweep is not None else "")]
+    for param, desc, base, exact in rows:
+        m = _modulus(desc, args, base)
+        values = [param, m] if exact is None else [param, m, exact, abs(m - exact)]
+        lines.append(",".join(f"{v:.15g}" for v in values))
+    _write_lines(lines, args.out)
 
 
 def cmd_confrad(args) -> None:
@@ -386,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     red = subs.add_parser("redmod", help="reduced modulus")
     red.add_argument("domain", nargs="?")
-    red.add_argument("--base", type=point)
     modes = red.add_mutually_exclusive_group()
+    modes.add_argument("--base", type=point)
     modes.add_argument("--sweep", type=_arg(_parse_sweep), help='oracle sweep "start:stop:step"')
     modes.add_argument("--ngon-sweep", type=_arg(_parse_ngon_sweep),
                        help='regular polygon sweep "lmin:lmax", base 0')
@@ -445,7 +449,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

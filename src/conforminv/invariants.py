@@ -299,11 +299,11 @@ def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z) 
     so for a polygon from vertex k to vertex k+1. The domain is mapped onto
     the disk with base point ``alpha`` (None picks one); the side becomes a
     boundary arc whose harmonic measure at the image point has a closed
-    form after a Moebius transform pinning the arc at (-i, 1, i).
+    form after a Moebius transform pinning the arc at (-i, 1, i). The
+    values are row ``side - 1`` of harmonic_measure_all.
     """
     _check_sides(curve, [side])
-    dm, zet = _corner_map(curve, alpha)
-    out = _side_measure(zet, side, cauchy_eval(dm, np.atleast_1d(z)))
+    out = harmonic_measure_all(curve, alpha, z)[side - 1]
     return out if np.asarray(z).ndim else float(out[0])
 
 
@@ -355,8 +355,6 @@ class QuadModulusTrace:
 
 def _check_circle_quad(points):
     pts = [complex(z) for z in points]
-    if len(pts) != 4:
-        raise ValueError("need exactly four marked points")
     if not all(abs(abs(zz) - 1.0) <= 1e-8 for zz in pts):  # in positive form, so nan fails
         raise ValueError("marked points must lie on the unit circle")
     args = np.unwrap([math.atan2(zz.imag, zz.real) for zz in pts], period=TWO_PI)

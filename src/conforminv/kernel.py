@@ -432,7 +432,7 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     rho = fold.unfold(x)
     h_pw = 0.5 * (apply_M(ctx, rho) - gamma[fold.rows] + w * (N @ gamma))
     h = fold.mean(h_pw)
-    spread = float(np.max(np.abs(h_pw - h))) if n else 0.0
+    spread = float(np.max(np.abs(h_pw - h)))
     sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters, residual=residual,
                       refine_iters=refine, folded=len(fold.offsets))
     if key is not None:

@@ -437,25 +437,35 @@ def test_nonfinite_domain_is_validation_error(desc, tmp_path, capsys):
 
 
 SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]
+CONFRAD = ["confrad", "{path}", "--base", "0.1+0.1i"]
+NO_KIND = {"case": "G3", "r": 0.6}
+NO_CASE = {"kind": "opened_slit", "r": 0.6}
 
 
-@pytest.mark.parametrize("doc, message", [
-    ({"kind": "ellipse", "a": None, "b": 0.5, "n": 64}, "field 'a'"),
-    ({"kind": "polygon", "vertices": 5, "ns": 16}, "field 'vertices'"),
-    ([1, 2], "one JSON object"),
-    ({"kind": "polygon", "vertices": SQUARE, "ns": [16]}, "field 'ns'"),
-    ({"kind": "polygon", "vertices": [[1]] + SQUARE[1:], "ns": 16}, "need [re, im]"),
-    ({"kind": "polygon", "vertices": SQUARE}, "needs field 'ns'"),
+@pytest.mark.parametrize("doc, message, argv", [
+    ({"kind": "ellipse", "a": None, "b": 0.5, "n": 64}, "field 'a'", CONFRAD),
+    ({"kind": "polygon", "vertices": 5, "ns": 16}, "field 'vertices'", CONFRAD),
+    ([1, 2], "one JSON object", CONFRAD),
+    ({"kind": "polygon", "vertices": SQUARE, "ns": [16]}, "field 'ns'", CONFRAD),
+    ({"kind": "polygon", "vertices": [[1]] + SQUARE[1:], "ns": 16}, "need [re, im]", CONFRAD),
+    ({"kind": "polygon", "vertices": SQUARE}, "needs field 'ns'", CONFRAD),
     # three sides of 9 nodes: the solver's even-count check
-    ({"kind": "polygon", "vertices": [[0, 0], [2, 0], [0, 2]], "ns": 9}, "must be even"),
+    ({"kind": "polygon", "vertices": [[0, 0], [2, 0], [0, 2]], "ns": 9}, "must be even", CONFRAD),
+    (NO_KIND, "domain file needs field 'kind'", ["redmod", "{path}"]),
+    (NO_KIND, "domain file needs field 'kind'", CONFRAD),
+    (NO_CASE, "domain file needs field 'case'", CONFRAD),
+    (NO_CASE, "domain file needs field 'case'", ["redmod", "{path}"]),
+    (NO_CASE, "domain file needs field 'case'", ["redmod", "{path}", "--sweep", "0.3:0.5:0.1"]),
 ], ids=["null-semiaxis", "number-vertices", "list-document", "list-ns", "one-element-pair",
-        "no-ns", "odd-node-count"])
-def test_malformed_domain_file_is_validation_error(doc, message, tmp_path, capsys):
+        "no-ns", "odd-node-count", "no-kind-redmod", "no-kind-confrad", "no-case-confrad",
+        "no-case-redmod", "no-case-redmod-sweep"])
+def test_malformed_domain_file_is_validation_error(doc, message, argv, tmp_path, capsys):
     # a field of the wrong JSON type, or a document that is no object, used
-    # to escape as a TypeError or AttributeError with exit 1
+    # to escape as a TypeError or AttributeError with exit 1; a missing kind
+    # or case was reported as the bare KeyError text
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    assert main(["confrad", str(path), "--base", "0.1+0.1i"]) == 2
+    assert main([a.format(path=path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
 

@@ -93,8 +93,6 @@ def test_marked_point_validation():
             quad_modulus(*pts)
     with pytest.raises(ValueError):  # not counterclockwise
         quad_modulus(good[0], good[2], good[1], good[3])
-    with pytest.raises(ValueError, match="four marked points"):
-        invariants._check_circle_quad(good[:3])
 
 
 def test_general_domain_validation():

@@ -1,8 +1,10 @@
-"""Count code lines per module under src/: no blanks, comments or docstrings.
+"""Count code lines per module under src/, and the CLI's settable values.
 
 A line counts when it holds at least one token that is not a comment, a
 newline or indentation, after the module, class and function docstrings
-(found with ``ast``) are dropped. Run from anywhere:
+(found with ``ast``) are dropped. A settable value is an argparse action
+of a subcommand other than its --help: a positional, an option or a flag
+of ``conforminv.cli.build_parser()``, imported from ROOT. Run from anywhere:
 
     python3 tools/code_lines.py [ROOT]
 
@@ -11,6 +13,7 @@ ROOT defaults to the ``src`` directory beside this script's parent.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -40,6 +43,17 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def settable_values(root: Path) -> dict[str, int]:
+    """Subcommand name -> number of its argparse actions other than --help."""
+    sys.path.insert(0, str(root))
+    from conforminv.cli import build_parser
+
+    subs = next(action for action in build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    return {name: sum(not isinstance(action, argparse._HelpAction) for action in sub._actions)
+            for name, sub in subs.choices.items()}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
@@ -49,6 +63,11 @@ def main(argv=None) -> int:
         total += count
         print(f"{count:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
+    values = settable_values(root)
+    print("CLI settable values:")
+    for name, count in values.items():
+        print(f"{count:6d}  {name}")
+    print(f"{sum(values.values()):6d}  total")
     return 0
 
 
