@@ -29,7 +29,8 @@ Domains are JSON files such as
     {"kind": "opened_slit", "case": "G2", "r": 0.5, "a": 0.0, "ns": 512}
 
 One loader, _build_domain, turns a description into its builder call and
-applies --ns and --grading-p. redmod's sweeps hand it one description per
+applies --ns and --grading-p; a field or flag left out is left to the
+builder's own default. redmod's sweeps hand it one description per
 family member or regular polygon, and every mode takes its modulus from
 one helper. A missing or mistyped field is a validation error naming it.
 
@@ -156,6 +157,12 @@ def _setting(desc: dict, key: str, read=float, default=None, override=None):
         raise ValueError(f"domain file field {key!r}: {exc}") from None
 
 
+def _given(desc: dict, key: str, name: str, read=float, override=None) -> dict:
+    """{name: value} when a flag or the domain file gives key, else {}: the builder's default."""
+    given = override is not None or key in desc
+    return {name: _setting(desc, key, read, override=override)} if given else {}
+
+
 def _read_domain(path: str) -> dict:
     with open(path) as fh:
         desc = json.load(fh)
@@ -169,38 +176,41 @@ def _curve(args):
     return _build_domain(_read_domain(args.domain), args)
 
 
-def _build_domain(desc: dict, args, slit=make_opened_slit_disk):
+def _build_domain(desc: dict, args, slit=None):
     """The builder call a domain description asks for, with the --ns/--grading-p overrides.
 
-    An opened slit disk's fields go to `slit`: make_opened_slit_disk for its
-    curve, or reduced_modulus_slit_disk for its modulus at the family's base point.
+    An opened slit disk's fields go to `slit`: make_opened_slit_disk (the default)
+    for its curve, or reduced_modulus_slit_disk for its modulus at the family's
+    base point. A field that has a builder default is passed on only when given,
+    so the builder's own default applies otherwise.
     """
     kind = _setting(desc, "kind", str)
     if kind in ("ellipse", "amoeba") and args.grading_p is not None:
         raise ValueError(f"--grading-p applies to cornered domains, not to kind {kind!r}")
-    p = _setting(desc, "grading_p", float, 3.0, args.grading_p)
+    p = _given(desc, "grading_p", "p", override=args.grading_p)
 
-    def count(key, default=None):
+    def count(key):
         # --ns overrides the file's n (smooth kinds) or ns (panelled kinds)
-        return _setting(desc, key, int, default, args.size)
+        return _setting(desc, key, int, override=args.size)
 
     if kind == "polygon":
         vertices = _setting(desc, "vertices", lambda vs: [_as_complex(v) for v in vs])
-        return make_polygon(vertices, count("ns"), p=p)
+        return make_polygon(vertices, count("ns"), **p)
     if kind == "ellipse":
-        side = _setting(desc, "side", str, "interior")
-        return make_ellipse(_setting(desc, "a"), _setting(desc, "b"), count("n"), side)
+        return make_ellipse(_setting(desc, "a"), _setting(desc, "b"), count("n"),
+                            **_given(desc, "side", "kind", str))
     if kind == "amoeba":
         return make_amoeba(count("n"))
     if kind == "arcs":
         arcs = _setting(desc, "arcs", lambda arcs: [
             (_as_complex(c), float(r), float(t0), float(t1)) for c, r, t0, t1 in arcs])
-        return make_circular_arc_polygon(arcs, count("ns"), p=p)
+        return make_circular_arc_polygon(arcs, count("ns"), **p)
     if kind == "rectangle":
-        return make_rectangle(_setting(desc, "r"), count("ns"), p=p)
+        return make_rectangle(_setting(desc, "r"), count("ns"), **p)
     if kind == "opened_slit":
-        return slit(_setting(desc, "case", str), _setting(desc, "r"),
-                    a=_setting(desc, "a", float, 0.0), n_s=count("ns", 512), p=p)
+        return (slit or make_opened_slit_disk)(
+            _setting(desc, "case", str), _setting(desc, "r"), **_given(desc, "a", "a"),
+            **_given(desc, "ns", "n_s", int, args.size), **p)
     raise ValueError(f"unknown domain kind {kind!r}")
 
 
@@ -328,8 +338,9 @@ def _write_quad_trace(trace, path: str):
 
 
 def cmd_quadmod(args) -> int | None:
-    qcfg = QuadConfig(n_s=_setting({}, "ns", int, 512, args.size),
-                      grading_p=_setting({}, "grading_p", float, 3.0, args.grading_p))
+    # only the given flags, so QuadConfig's own defaults apply otherwise
+    flags = {"n_s": args.size, "grading_p": args.grading_p}
+    qcfg = QuadConfig(**{name: value for name, value in flags.items() if value is not None})
     if args.oracle and args.angles_pi is None:
         raise ValueError("--oracle applies to --angles-pi mode")
     if args.alpha is not None and args.params is None:

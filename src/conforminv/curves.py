@@ -488,6 +488,17 @@ def _winding(rows: np.ndarray) -> np.ndarray:
         return (rows / (2j * np.pi)).real
 
 
+def _base_ok(curve: BoundaryCurve, z):
+    """(ok, clear) at flat points z: ok where z can be a disk map's base point.
+
+    That is winding number +1 (inside) for a counterclockwise curve and -1
+    (in the bounded complement) for a clockwise one. A non-finite z, or one
+    on a node, gets nan sums and fails. clear is as in boundary_clearance.
+    """
+    _, rows, _, clear = _boundary_sums(curve, z)
+    return np.rint(_winding(rows)) == (1.0 if curve.orientation == "ccw" else -1.0), clear
+
+
 def winding_number(curve: BoundaryCurve, z) -> np.ndarray:
     """Discrete winding number of the curve around each point z."""
     return _winding(_boundary_sums(curve, z)[1])

@@ -14,6 +14,12 @@ which sends the bounded domain onto the unit disk with alpha -> 0, and
 the unbounded one onto the exterior of the unit disk with f(infinity) = 0.
 In both cases |Phi| = 1 on the boundary and e^h is the conformal radius.
 
+The maps own the base point. Given, it is checked by curves._base_ok,
+the one test of a base (winding number +1 for a counterclockwise curve,
+-1 for a clockwise one); left out, _base_point picks one that passes it,
+the curve's symmetry centre where it has one. The invariants pass their
+optional bases straight through.
+
 Folding is a property of the curve and the base: when the base lies
 exactly on mirrors that the curve declares (an ellipse's axes, a
 rectangle's midlines, an opened slit disk's real axis), both maps solve
@@ -23,8 +29,9 @@ double precision before it can fail.
 
 Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
-closed-form expression in f. The Cauchy sums and point location (winding
-number, nearest-node distance) share one pass over the boundary nodes.
+closed-form expression in f. _evaluate gives point location (winding
+number, nearest-node distance) and Phi from one pass over the boundary
+nodes; cauchy_eval and the invariants' grid fields both read it.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
-from .curves import (BoundaryCurve, _boundary_sums, _check_slit,  # noqa: F401
-                     boundary_clearance, node_spacing_scale, winding_inside, winding_number)
+from .curves import (BoundaryCurve, _base_ok, _boundary_sums, _check_slit,  # noqa: F401
+                     boundary_clearance, node_spacing_scale, winding_inside)
 from .kernel import (GnkSolution, KernelContext, _mirror_fold, bounded_context,
                      solve_neumann_system, unbounded_context)
 
@@ -49,6 +56,8 @@ __all__ = [
     "mobius_three_points",
     "slit_opening_forward",
 ]
+
+_BASE_GRID = 32  # cells per side of the grid that default base points come from
 
 
 @dataclass
@@ -78,43 +87,71 @@ def _solve_map(ctx: KernelContext, base: complex, x0: np.ndarray | None = None) 
                    phi_boundary=phi, solution=sol)
 
 
-def map_bounded(curve: BoundaryCurve, alpha: complex, x0: np.ndarray | None = None) -> DiskMap:
-    """Conformal map of the interior of the curve onto the unit disk, alpha -> 0."""
-    ctx = bounded_context(curve, alpha)
+def _base_point(curve: BoundaryCurve, base: complex | None) -> complex:
+    """base, or else a point with the winding number the disk map needs.
+
+    That is +1 (inside) for a counterclockwise curve and -1 (in the bounded
+    complement) for a clockwise one. The crossing of a curve's two declared
+    mirrors (its symmetry centre, where a disk map folds both), else the
+    node mean, is taken when it qualifies; otherwise the qualifying cell
+    centre of a coarse grid over the curve's bounding box that lies
+    farthest from the nodes.
+    """
+    if base is not None:
+        return complex(base)
+    # two mirrors are declared through their crossing
+    first = curve.mirrors[0].point if len(curve.mirrors) == 2 else complex(np.mean(curve.eta))
+    if _base_ok(curve, first)[0][0]:
+        return first
+    s = (np.arange(_BASE_GRID) + 0.5) / _BASE_GRID
+    x, y = curve.eta.real, curve.eta.imag
+    z = ((x.min() + s * np.ptp(x))[None, :] + 1j * (y.min() + s * np.ptp(y))[:, None]).ravel()
+    ok, clearance = _base_ok(curve, z)
+    if not np.any(ok):
+        raise ValueError("found no default base point; give one")
+    return complex(z[ok][np.argmax(clearance[ok])])
+
+
+def map_bounded(curve: BoundaryCurve, alpha: complex | None = None,
+                x0: np.ndarray | None = None) -> DiskMap:
+    """Conformal map of the interior of the curve onto the unit disk, alpha -> 0.
+
+    alpha defaults to _base_point's choice.
+    """
+    ctx = bounded_context(curve, _base_point(curve, alpha))
     return _solve_map(ctx, ctx.alpha, x0)
 
 
-def map_unbounded(curve: BoundaryCurve, beta: complex) -> DiskMap:
+def map_unbounded(curve: BoundaryCurve, beta: complex | None = None) -> DiskMap:
     """Map of the unbounded domain onto the exterior of the unit circle.
 
-    beta is any point of the bounded complement; the resulting constant
-    h (and with it the conformal radius e^h of the domain at infinity)
-    does not depend on the choice.
+    beta is any point of the bounded complement, by default _base_point's
+    choice; the resulting constant h (and with it the conformal radius e^h
+    of the domain at infinity) does not depend on it.
     """
     ctx = unbounded_context(curve)
-    beta = complex(beta)
-    if np.rint(winding_number(curve, beta)[0]) != -1.0:
+    beta = _base_point(curve, beta)
+    if not _base_ok(curve, beta)[0][0]:
         raise ValueError("auxiliary point beta must lie in the bounded complement")
     return _solve_map(ctx, beta)
 
 
-def _cauchy_pass(dmap: DiskMap, z: np.ndarray):
-    """Inside flags, node clearances and f at flat points z, from one pass.
+def _evaluate(dmap: DiskMap, z: np.ndarray):
+    """Inside flags, node clearances and Phi at flat points z, from one pass.
 
     f is the barycentric-normalized discrete Cauchy integral, whose numerator
     and denominator share their dominant quadrature error. The unbounded mode
     adds the residue 2 pi i at infinity to the denominator: the clockwise
-    boundary sum of 1/(eta - z) vanishes in the exterior domain.
+    boundary sum of 1/(eta - z) vanishes in the exterior domain. Phi follows
+    from f in closed form; at points outside the domain it is meaningless
+    and raises no floating-point warning.
     """
     inside, rows, num, clearance = _boundary_sums(dmap.curve, z, dmap.f_boundary)
-    den = rows + 2j * np.pi if dmap.curve.orientation == "cw" else rows
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return inside, clearance, num / den
-
-
-def _phi(dmap: DiskMap, z: np.ndarray, f: np.ndarray) -> np.ndarray:
+    ccw = dmap.curve.orientation == "ccw"
     dz = z - dmap.base
-    return np.exp(-dmap.h) * dz * np.exp(dz * f if dmap.curve.orientation == "ccw" else f)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        f = num / (rows if ccw else rows + 2j * np.pi)
+        return inside, clearance, np.exp(-dmap.h) * dz * np.exp(dz * f if ccw else f)
 
 
 def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
@@ -127,13 +164,13 @@ def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     scalar = np.asarray(z).ndim == 0
-    inside, clearance, f = _cauchy_pass(dmap, z_arr)
+    inside, clearance, phi = _evaluate(dmap, z_arr.ravel())
     if not np.all(inside):
         raise ValueError("evaluation point outside the domain")
     if np.any(clearance < 5.0 * node_spacing_scale(dmap.curve)):
         warnings.warn("evaluation point close to the boundary; "
                       "accuracy degrades there", stacklevel=2)
-    phi = _phi(dmap, z_arr.ravel(), f).reshape(z_arr.shape)
+    phi = phi.reshape(z_arr.shape)
     return phi[0] if scalar else phi
 
 

@@ -19,11 +19,9 @@ import numpy as np
 
 # boundary_clearance, winding_inside, winding_number: perfbench/spans.py times
 # point location under these names
-from .curves import (BoundaryCurve, _boundary_sums, _winding,  # noqa: F401
-                     boundary_clearance, make_opened_slit_disk, make_rectangle,
-                     node_spacing_scale, winding_inside, winding_number)
-from .diskmap import (_cauchy_pass, _phi, cauchy_eval, map_bounded, map_unbounded,
-                      mobius_three_points)
+from .curves import (BoundaryCurve, boundary_clearance, make_opened_slit_disk,  # noqa: F401
+                     make_rectangle, node_spacing_scale, winding_inside, winding_number)
+from .diskmap import _evaluate, cauchy_eval, map_bounded, map_unbounded, mobius_three_points
 
 __all__ = [
     "GridSpec",
@@ -43,7 +41,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_BASE_GRID = 32  # cells per side of the grid that default base points come from
 _QUAD_EPS = 0.5e-13  # the rectangle iteration stops once |r_k - r_{k-1}| < _QUAD_EPS
 _QUAD_MAX_ITER = 50  # rectangle solves before the iteration reports non-convergence
 
@@ -124,38 +121,11 @@ def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
     """value_of(Phi(z)) at the admissible grid nodes z, all from one boundary pass."""
     x, y = grid.axes()
     z = grid.mesh().ravel()
-    inside, clearance, f = _cauchy_pass(dm, z)
+    inside, clearance, phi = _evaluate(dm, z)
     mask = _admissible(dm.curve, inside, clearance)
     values = np.full(z.shape, np.nan)
-    values[mask] = value_of(_phi(dm, z[mask], f[mask]))
+    values[mask] = value_of(phi[mask])
     return ScalarField(x, y, mask.reshape(y.size, x.size), values.reshape(y.size, x.size))
-
-
-def _base_point(curve: BoundaryCurve, base: complex | None = None) -> complex:
-    """base, or else a point with the winding number the disk map needs.
-
-    That is +1 (inside) for a counterclockwise curve and -1 (in the bounded
-    complement) for a clockwise one. The crossing of a curve's two declared
-    mirrors (its symmetry centre, where a disk map folds both), else the
-    node mean, is taken when it qualifies; otherwise the qualifying cell
-    centre of a coarse grid over the curve's bounding box that lies
-    farthest from the nodes.
-    """
-    if base is not None:
-        return complex(base)
-    want = 1.0 if curve.orientation == "ccw" else -1.0
-    # two mirrors are declared through their crossing
-    first = curve.mirrors[0].point if len(curve.mirrors) == 2 else complex(np.mean(curve.eta))
-    if np.rint(_winding(_boundary_sums(curve, first)[1]))[0] == want:
-        return first
-    s = (np.arange(_BASE_GRID) + 0.5) / _BASE_GRID
-    x, y = curve.eta.real, curve.eta.imag
-    z = ((x.min() + s * np.ptp(x))[None, :] + 1j * (y.min() + s * np.ptp(y))[:, None]).ravel()
-    _, rows, _, clearance = _boundary_sums(curve, z)
-    ok = np.rint(_winding(rows)) == want
-    if not np.any(ok):
-        raise ValueError("found no default base point; give one")
-    return complex(z[ok][np.argmax(clearance[ok])])
 
 
 def _circle_images(dm, idx) -> np.ndarray:
@@ -208,34 +178,33 @@ def hyperbolic_distance_field(curve: BoundaryCurve, alpha: complex, z1: complex,
 # conformal radius and reduced modulus
 # ----------------------------------------------------------------------
 
-def _map_at(curve: BoundaryCurve, base: complex | None, beta: complex | None):
+def _map_at(curve: BoundaryCurve, base: complex | None):
     """Disk map at a finite base (ccw curve) or at infinity (base None, cw curve)."""
     if base is None and curve.orientation == "ccw":
         raise ValueError("a bounded domain (counterclockwise curve) needs a base point")
-    if base is None:
-        return map_unbounded(curve, _base_point(curve, beta))
-    return map_bounded(curve, base)
+    return map_unbounded(curve) if base is None else map_bounded(curve, base)
 
 
-def conformal_radius(curve: BoundaryCurve, base: complex | None = None,
-                     beta: complex | None = None) -> float:
+def conformal_radius(curve: BoundaryCurve, base: complex | None = None) -> float:
     """Conformal radius e^h of the domain at the base point.
 
     ``base`` is an interior point of a bounded domain (counterclockwise
     curve); ``base=None`` means the point at infinity of an unbounded
-    domain (clockwise curve), where ``beta`` optionally picks the
-    auxiliary point in the bounded complement (default: the symmetry
-    centre of a curve with two declared mirrors, such as an ellipse's 0,
-    else the node mean, or a grid point if that point is not in the
-    complement).
+    domain (clockwise curve). The result does not depend on the map's
+    auxiliary point in the bounded complement, so map_unbounded's default
+    is used: the symmetry centre of a curve with two declared mirrors,
+    such as an ellipse's 0, where the solve folds.
     """
-    return float(np.exp(_map_at(curve, base, beta).h))
+    return float(np.exp(_map_at(curve, base).h))
 
 
-def reduced_modulus(curve: BoundaryCurve, base: complex | None = None,
-                    beta: complex | None = None) -> float:
-    """Reduced modulus: h/(2 pi) at a finite base, -h/(2 pi) at infinity."""
-    h = _map_at(curve, base, beta).h
+def reduced_modulus(curve: BoundaryCurve, base: complex | None = None) -> float:
+    """Reduced modulus: h/(2 pi) at a finite base, -h/(2 pi) at infinity.
+
+    At infinity the auxiliary point is map_unbounded's default, as in
+    conformal_radius.
+    """
+    h = _map_at(curve, base).h
     return float((h if curve.orientation == "ccw" else -h) / TWO_PI)
 
 
@@ -288,7 +257,7 @@ def _corner_map(curve: BoundaryCurve, alpha: complex | None):
     """Disk map of the domain and the unit-circle images of its corners."""
     if not curve.corners:
         raise ValueError("harmonic measure of sides needs a domain with corners")
-    dm = map_bounded(curve, _base_point(curve, alpha))
+    dm = map_bounded(curve, alpha)
     return dm, _circle_images(dm, list(curve.corners))
 
 
@@ -391,8 +360,8 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
     for k in range(1, _QUAD_MAX_ITER + 1):
         iterations = k
         curve = make_rectangle(r, cfg.n_s, cfg.grading_p)
-        # from the centre (1 + i r) / 2, where the map folds both mirrors
-        dm = map_bounded(curve, _base_point(curve), x0=rho_prev)
+        # from the default base, the centre (1 + i r) / 2, where the map folds both mirrors
+        dm = map_bounded(curve, x0=rho_prev)
         rho_prev = dm.solution.rho
         corners = list(curve.corners)
         psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))
@@ -444,7 +413,7 @@ def quad_modulus_general(curve: BoundaryCurve, params, alpha: complex | None = N
     # in positive form, so that nan fails every test
     if not (np.all(params >= 0.0) and np.all(params < TWO_PI) and np.all(np.diff(params) > 0.0)):
         raise ValueError("parameters must be strictly increasing in [0, 2 pi)")
-    dm = map_bounded(curve, _base_point(curve, alpha))
+    dm = map_bounded(curve, alpha)
     idx = np.rint(params / TWO_PI * curve.n).astype(int) % curve.n
     if len(set(idx.tolist())) != 4:
         raise ValueError("marked points collapse onto the same node")

@@ -80,7 +80,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .curves import BoundaryCurve, _row_blocks, winding_inside
+from .curves import BoundaryCurve, _base_ok, _row_blocks
 
 __all__ = [
     "KernelContext",
@@ -133,7 +133,7 @@ def bounded_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
         raise ValueError("bounded mode expects a counterclockwise curve")
     alpha = complex(alpha)
     # a non-finite alpha, or one on a node, gets nan winding sums: outside
-    if not winding_inside(curve, alpha):
+    if not _base_ok(curve, alpha)[0][0]:
         raise ValueError("base point alpha must lie inside the domain")
     return KernelContext(curve, curve.eta - alpha, alpha, _mirror_fold(curve, None))
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conforminv import invariants, kernel
+from conforminv import QuadConfig, cli, invariants, kernel
 from conforminv.cli import main
 from conforminv.curves import make_amoeba, make_opened_slit_disk, make_polygon
 from conforminv.exact import oracle_reduced_modulus
@@ -229,6 +229,38 @@ def test_confrad_domain_file_is_the_library_value(desc, curve, base, tmp_path, c
     path.write_text(json.dumps(desc))
     assert main(["confrad", str(path), "--base", base]) == 0
     assert capsys.readouterr().out == f"{conformal_radius(curve(), complex(base)):.15g}\n"
+
+
+def test_cli_leaves_library_defaults_to_the_library(lshape_json, tmp_path, monkeypatch):
+    # a value that no flag and no domain file field gives is not passed on,
+    # so the builders' and QuadConfig's own defaults apply
+    calls = []
+
+    def spy(name):
+        def call(*args, **kwargs):
+            calls.append((name, kwargs))
+            raise ValueError("spied")  # main reports it as exit 2; nothing is solved
+        return call
+
+    for name in ("make_polygon", "make_opened_slit_disk", "reduced_modulus_slit_disk",
+                 "quad_modulus"):
+        monkeypatch.setattr(cli, name, spy(name))
+    slit = tmp_path / "G1.json"
+    slit.write_text(json.dumps({"kind": "opened_slit", "case": "G1", "r": 0.5}))
+    for argv in (["confrad", lshape_json, "--base", "2i"], ["confrad", str(slit), "--base", "0.8"],
+                 ["redmod", str(slit)], ["quadmod", "--points", "1,i,-1,-i"]):
+        assert main(argv) == 2
+    assert [name for name, _ in calls] == ["make_polygon", "make_opened_slit_disk",
+                                           "reduced_modulus_slit_disk", "quad_modulus"]
+    assert all(not {"p", "n_s", "a"} & kwargs.keys() for _, kwargs in calls)
+    assert calls[-1][1]["cfg"] == QuadConfig()
+
+    # given values do reach the library
+    calls.clear()
+    assert main(["confrad", str(slit), "--base", "0.8", "--ns", "64", "--grading-p", "4"]) == 2
+    assert main(["quadmod", "--points", "1,i,-1,-i", "--ns", "64"]) == 2
+    assert calls[0][1] == {"n_s": 64, "p": 4.0}
+    assert calls[1][1]["cfg"] == QuadConfig(n_s=64)
 
 
 def test_solver_failure_exit_code(lshape_json, capsys, monkeypatch):

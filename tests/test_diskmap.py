@@ -5,9 +5,10 @@ import pytest
 
 from conforminv.curves import (make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk)
-from conforminv.diskmap import (DiskMap, Mobius, _cauchy_pass, cauchy_eval,
+from conforminv.diskmap import (DiskMap, Mobius, _evaluate, cauchy_eval,
                                 map_bounded, map_unbounded,
                                 mobius_three_points, slit_opening_forward)
+from conforminv.invariants import _SLIT_BASE_IMAGE
 from conforminv.kernel import GnkSolution
 
 
@@ -111,14 +112,16 @@ def test_cauchy_warns_near_boundary(circle):
 
 
 def test_cauchy_f_unbounded_analytic(circle):
-    # boundary samples of 1/z reproduce interior values of 1/z; checks the
-    # residue-at-infinity constant in the denominator
+    # boundary samples of f = 1/z reproduce interior values of 1/z, so with
+    # base 0 and h = 0, Phi(3) = 3 e^{1/3}; checks the residue-at-infinity
+    # constant in the denominator
     cv = circle(256, kind="exterior")
     sol = GnkSolution(rho=np.zeros(256), h=0.0, h_spread=0.0, gmres_iters=0, residual=0.0)
     dm = DiskMap(curve=cv, base=0.0, f_boundary=1.0 / cv.eta, phi_boundary=cv.eta,
                  solution=sol)
-    val = _cauchy_pass(dm, np.array([3.0 + 0.0j]))[2][0]
-    assert abs(val - 1.0 / 3.0) < 1e-10
+    val = _evaluate(dm, np.array([3.0 + 0.0j]))[2][0]
+    want = 3.0 * np.exp(1.0 / 3.0)
+    assert abs(val - want) < 1e-10 * abs(want)
 
 
 # ------------------------------------------------------------ Moebius
@@ -161,6 +164,22 @@ def test_slit_opening_base_images():
     for case, z in (("G1", -0.5), ("G2", 0.7), ("G3", 0.1)):
         with pytest.raises(ValueError, match="on the slit"):
             slit_opening_forward(case, 0.5, z, a=0.2 if case == "G3" else 0.0)
+
+
+def test_slit_base_image_table_pins_the_opening():
+    # invariants takes the base image from its own table, which rounds unlike
+    # the opening map in the last bit for about half the parameters; the map
+    # keeps the base on the real axis, the fold's mirror, and within an ulp
+    bases = {"G1": lambda r: r, "G2": lambda r: 0.0, "G3": lambda r: r}
+    for case in ("G1", "G2", "G3"):
+        for a in ((0.0, 0.1, 0.2, 0.3) if case == "G3" else (0.0,)):
+            for r in np.linspace(0.05, 0.95, 91):
+                if r <= a:
+                    continue
+                w = complex(slit_opening_forward(case, r, bases[case](r), a))
+                table = _SLIT_BASE_IMAGE[case](r, a)
+                assert w.imag == 0.0, (case, r, a)
+                assert abs(w.real - table) <= np.spacing(abs(table)), (case, r, a)
 
 
 def test_slit_opening_matches_curve_nodes():

@@ -4,6 +4,11 @@ Under z -> a z + b the reduced modulus at a finite base shifts by
 log|a| / (2 pi), at infinity by -log|a| / (2 pi); hyperbolic distance and
 harmonic measure do not change. The discrete method is covariant too, so
 the checks hold to rounding, not to the discretization error.
+
+The modulus r(Q) of a disk quadrilateral is unchanged by a rotation of its
+marked points, and r(Q) r(Q') = 1 for the conjugate quadrilateral Q', the
+points shifted by one. The rectangles of ratio r and 1/r carry the same
+nodes up to a similarity, so these also hold to rounding.
 """
 
 import functools
@@ -13,8 +18,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conforminv import (harmonic_measure_all, hyperbolic_distance, make_ellipse,
-                        make_polygon, reduced_modulus)
+from conforminv import (QuadConfig, harmonic_measure_all, hyperbolic_distance, make_ellipse,
+                        make_polygon, quad_modulus, reduced_modulus)
 from conforminv.curves import _curve
 
 L_SHAPE = np.array([6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j])
@@ -29,6 +34,16 @@ SIMILARITY = settings(derandomize=True, deadline=None, max_examples=4)
 similarities = st.builds(
     lambda log_r, turn, x, y: (10.0 ** log_r * np.exp(2j * math.pi * turn), complex(x, y)),
     st.floats(-1.0, 1.0), st.floats(0.0, 1.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0))
+
+
+# four counterclockwise points on the unit circle, as angles: three gaps are
+# drawn and the fourth closes the turn; each is at least 0.3 rad and, as the
+# order check needs, less than pi
+quadrilaterals = st.tuples(
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
+).filter(lambda t: 0.3 <= 2.0 * math.pi - sum(t[1:]) <= 3.0).map(
+    lambda t: t[0] + np.cumsum((0.0,) + t[1:]))
+QUAD_CFG = QuadConfig(n_s=32)
 
 
 def _invariants(curve, base, points):
@@ -81,3 +96,21 @@ def test_ellipse_similarity_covariance(ab):
     # at infinity the capacity scales by |a|, so the modulus moves the other way
     curve, modulus = _ellipse("exterior")
     assert abs(reduced_modulus(_mapped(curve, a, b)) - (modulus - shift)) < TOL
+
+
+@SIMILARITY
+@given(quadrilaterals)
+def test_quad_modulus_conjugate_reciprocity(angles):
+    points = np.exp(1j * angles)
+    r, conjugate = (quad_modulus(*z, cfg=QUAD_CFG) for z in (points, np.roll(points, -1)))
+    assert r.converged and conjugate.converged
+    assert abs(r.r * conjugate.r - 1.0) <= 1e-12
+
+
+@SIMILARITY
+@given(quadrilaterals, st.floats(0.0, 2.0 * math.pi))
+def test_quad_modulus_rotation_invariance(angles, turn):
+    r, rotated = (quad_modulus(*np.exp(1j * (angles + shift)), cfg=QUAD_CFG)
+                  for shift in (0.0, turn))
+    assert r.converged and rotated.converged
+    assert abs(r.r - rotated.r) <= 1e-13

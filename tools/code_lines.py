@@ -1,10 +1,14 @@
-"""Count code lines per module under src/, and the CLI's settable values.
+"""Count code lines per module under src/, and the library's and the CLI's settable values.
 
 A line counts when it holds at least one token that is not a comment, a
 newline or indentation, after the module, class and function docstrings
-(found with ``ast``) are dropped. A settable value is an argparse action
-of a subcommand other than its --help: a positional, an option or a flag
-of ``conforminv.cli.build_parser()``, imported from ROOT. Run from anywhere:
+(found with ``ast``) are dropped. A settable value of the library is a
+parameter with a default of a callable in ``conforminv.__all__`` (a class
+counts its constructor's, so a dataclass its fields with a default),
+booked to the module that defines the callable. A settable value of the
+CLI is an argparse action of a subcommand other than its --help: a
+positional, an option or a flag of ``conforminv.cli.build_parser()``.
+Both are imported from ROOT. Run from anywhere:
 
     python3 tools/code_lines.py [ROOT]
 
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import inspect
 import io
 import sys
 import tokenize
@@ -43,9 +48,22 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def settable_values(root: Path) -> dict[str, int]:
+def library_values() -> dict[str, int]:
+    """Module name -> parameters with a default of the exported callables it defines."""
+    import conforminv
+
+    counts: dict[str, int] = {}
+    for obj in (getattr(conforminv, name) for name in conforminv.__all__):
+        if callable(obj):
+            module = obj.__module__.rpartition(".")[2]
+            params = inspect.signature(obj).parameters.values()
+            counts[module] = counts.get(module, 0) + sum(
+                param.default is not inspect.Parameter.empty for param in params)
+    return dict(sorted(counts.items()))
+
+
+def settable_values() -> dict[str, int]:
     """Subcommand name -> number of its argparse actions other than --help."""
-    sys.path.insert(0, str(root))
     from conforminv.cli import build_parser
 
     subs = next(action for action in build_parser()._actions
@@ -63,11 +81,13 @@ def main(argv=None) -> int:
         total += count
         print(f"{count:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
-    values = settable_values(root)
-    print("CLI settable values:")
-    for name, count in values.items():
-        print(f"{count:6d}  {name}")
-    print(f"{sum(values.values()):6d}  total")
+    sys.path.insert(0, str(root))
+    for title, values in (("Library settable values:", library_values()),
+                          ("CLI settable values:", settable_values())):
+        print(title)
+        for name, count in values.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(values.values()):6d}  total")
     return 0
 
 
