@@ -90,8 +90,8 @@ def library_lines():
     import numpy as np
 
     from conforminv import (QuadConfig, harmonic_measure, make_amoeba, make_ellipse,
-                            make_polygon, map_bounded, map_unbounded, quad_modulus,
-                            reduced_modulus)
+                            make_opened_slit_disk, make_polygon, make_rectangle, map_bounded,
+                            map_unbounded, quad_modulus, reduced_modulus)
 
     lshape = DOMAINS["L.json"]
     curve = make_polygon([complex(*v) for v in lshape["vertices"]], lshape["ns"],
@@ -100,7 +100,11 @@ def library_lines():
     maps = {"L base 2i": map_bounded(curve, 2j), "L base 2": map_bounded(curve, 2.0),
             "amoeba base 0": map_bounded(make_amoeba(DOMAINS["A.json"]["n"]), 0.0),
             # off both axes, so unfolded
-            "exterior ellipse beta 0.1+0.05i": map_unbounded(ellipse, 0.1 + 0.05j)}
+            "exterior ellipse beta 0.1+0.05i": map_unbounded(ellipse, 0.1 + 0.05j),
+            # folded over both axes, both midlines and the real axis
+            "exterior ellipse default beta": map_unbounded(ellipse),
+            "rectangle 2 default alpha": map_bounded(make_rectangle(2.0, DOMAINS["R.json"]["ns"])),
+            "G3 0.6, 0.2 base 0.8": map_bounded(make_opened_slit_disk("G3", 0.6, 0.2), 0.8)}
     for name, dmap in maps.items():
         sol = dmap.solution
         yield f"{name} rho={_sha(sol.rho.tobytes())}"
