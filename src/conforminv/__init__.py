@@ -18,8 +18,8 @@ from .invariants import (GridSpec, QuadConfig, QuadModulusTrace, ScalarField,
                          harmonic_measure_field, hyperbolic_distance, hyperbolic_distance_field,
                          quad_modulus, quad_modulus_general, reduced_modulus,
                          reduced_modulus_slit_disk)
-from .kernel import (ConvergenceError, GnkSolution, KernelContext, apply_M, bounded_context,
-                     conjugate_periodic, solve_neumann_system, unbounded_context)
+from .kernel import (ConvergenceError, GnkSolution, KernelContext, conjugate_periodic, context,
+                     solve_neumann_system)
 
 __version__ = "0.1.0"
 
@@ -27,8 +27,7 @@ __all__ = [
     "BoundaryCurve", "make_ellipse", "make_amoeba", "make_polygon",
     "make_circular_arc_polygon", "make_rectangle", "make_opened_slit_disk",
     "spectral_derivative", "winding_inside",
-    "KernelContext", "bounded_context", "unbounded_context",
-    "conjugate_periodic", "apply_M",
+    "KernelContext", "context", "conjugate_periodic",
     "GnkSolution", "ConvergenceError", "solve_neumann_system",
     "DiskMap", "map_bounded", "map_unbounded", "cauchy_eval", "Mobius",
     "mobius_three_points", "slit_opening_forward",

@@ -14,11 +14,14 @@ which sends the bounded domain onto the unit disk with alpha -> 0, and
 the unbounded one onto the exterior of the unit disk with f(infinity) = 0.
 In both cases |Phi| = 1 on the boundary and e^h is the conformal radius.
 
-The maps own the base point. Given, it is checked by curves._base_ok,
-the one test of a base (winding number +1 for a counterclockwise curve,
--1 for a clockwise one); left out, _base_point picks one that passes it,
-the curve's symmetry centre where it has one. The invariants pass their
-optional bases straight through.
+map_bounded and map_unbounded refuse a curve of the other orientation
+and share one core, _solve_map: it picks the base, builds the kernel
+context (kernel.context, which reads A off the orientation) and refolds
+it. The maps own the base point. Given, it is checked in kernel.context
+by curves._base_ok, the one test of a base (winding number +1 for a
+counterclockwise curve, -1 for a clockwise one); left out, _base_point
+picks one that passes it, the curve's symmetry centre where it has one.
+The invariants pass their optional bases straight through.
 
 Folding is a property of the curve and the base: when the base lies
 exactly on mirrors that the curve declares (an ellipse's axes, a
@@ -44,8 +47,7 @@ import numpy as np
 # boundary_clearance, winding_inside: perfbench/spans.py times location under these names
 from .curves import (BoundaryCurve, _base_ok, _boundary_sums, _check_slit,  # noqa: F401
                      boundary_clearance, node_spacing_scale, winding_inside)
-from .kernel import (GnkSolution, KernelContext, _mirror_fold, bounded_context,
-                     solve_neumann_system, unbounded_context)
+from .kernel import GnkSolution, _mirror_fold, context, solve_neumann_system
 
 __all__ = [
     "DiskMap",
@@ -76,14 +78,15 @@ class DiskMap:
         return self.solution.h
 
 
-def _solve_map(ctx: KernelContext, base: complex, x0: np.ndarray | None = None) -> DiskMap:
-    ctx = replace(ctx, fold=_mirror_fold(ctx.curve, base))
-    dz = ctx.curve.eta - base
+def _solve_map(curve: BoundaryCurve, base: complex | None, x0: np.ndarray | None = None) -> DiskMap:
+    base = _base_point(curve, base)
+    ctx = replace(context(curve, base), fold=_mirror_fold(curve, base))
+    dz = curve.eta - base
     gamma = -np.log(np.abs(dz))
     sol = solve_neumann_system(ctx, gamma, x0=x0)
     g = gamma + sol.h + 1j * sol.rho
     phi = np.exp(-sol.h) * dz * np.exp(g)
-    return DiskMap(curve=ctx.curve, base=base, f_boundary=g / ctx.A,
+    return DiskMap(curve=curve, base=base, f_boundary=g / ctx.A,
                    phi_boundary=phi, solution=sol)
 
 
@@ -118,8 +121,9 @@ def map_bounded(curve: BoundaryCurve, alpha: complex | None = None,
 
     alpha defaults to _base_point's choice.
     """
-    ctx = bounded_context(curve, _base_point(curve, alpha))
-    return _solve_map(ctx, ctx.alpha, x0)
+    if curve.orientation != "ccw":
+        raise ValueError("bounded mode expects a counterclockwise curve")
+    return _solve_map(curve, alpha, x0)
 
 
 def map_unbounded(curve: BoundaryCurve, beta: complex | None = None) -> DiskMap:
@@ -129,11 +133,9 @@ def map_unbounded(curve: BoundaryCurve, beta: complex | None = None) -> DiskMap:
     choice; the resulting constant h (and with it the conformal radius e^h
     of the domain at infinity) does not depend on it.
     """
-    ctx = unbounded_context(curve)
-    beta = _base_point(curve, beta)
-    if not _base_ok(curve, beta)[0][0]:
-        raise ValueError("auxiliary point beta must lie in the bounded complement")
-    return _solve_map(ctx, beta)
+    if curve.orientation != "cw":
+        raise ValueError("unbounded mode expects a clockwise curve")
+    return _solve_map(curve, beta)
 
 
 def _evaluate(dmap: DiskMap, z: np.ndarray):

@@ -326,8 +326,9 @@ def _check_circle_quad(points):
     pts = [complex(z) for z in points]
     if not all(abs(abs(zz) - 1.0) <= 1e-8 for zz in pts):  # in positive form, so nan fails
         raise ValueError("marked points must lie on the unit circle")
-    args = np.unwrap([math.atan2(zz.imag, zz.real) for zz in pts], period=TWO_PI)
-    if not np.all(np.diff(args) > 0.0) or args[-1] - args[0] >= TWO_PI:
+    # each step counterclockwise, in [0, 2 pi), and all of them within one turn
+    steps = np.diff([math.atan2(zz.imag, zz.real) for zz in pts]) % TWO_PI
+    if not (np.all(steps > 0.0) and np.sum(steps) < TWO_PI):
         raise ValueError("marked points must be in counterclockwise order")
     return pts
 

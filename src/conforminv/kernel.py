@@ -55,10 +55,17 @@ width, and GMRES runs on the folded square matrix N[q, q] - N[q, s1]
 s1, s2 and s12 are the images of q under the mirrors and their product
 (Allgower, Georg and Miranda, SIAM J. Numer. Anal. 1992). The full
 system is the fold by no mirrors, the identity: q and the rows are all
-n nodes and there is no image, so every solve takes the one path. A
-context made by bounded_context or unbounded_context has the identity
-fold and stays the reference for the folded ones; the disk maps make
-theirs with dataclasses.replace(ctx, fold=_mirror_fold(curve, base)).
+n nodes and there is no image, so every solve takes the one path.
+
+A context is a curve, its base and a fold; the curve's orientation is
+the mode. context(curve, base) checks the base with curves._base_ok and
+stores alpha = base for a counterclockwise curve, so A = eta - alpha, and
+alpha = None for a clockwise one, where A = 1 and the base enters only
+gamma. It has the identity fold and stays the reference for the folded
+contexts, which the disk maps make with
+dataclasses.replace(ctx, fold=_mirror_fold(curve, base)). A context
+caches nothing: matrices() assembles on every call, and a solve calls it
+once.
 
 Solves are memoized by content: solve_neumann_system keeps the last
 _MEMO_SIZE solutions in a least-recently-used table keyed on a blake2b
@@ -74,7 +81,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,10 +91,8 @@ from .curves import BoundaryCurve, _base_ok, _row_blocks
 
 __all__ = [
     "KernelContext",
-    "bounded_context",
-    "unbounded_context",
+    "context",
     "conjugate_periodic",
-    "apply_M",
     "GnkSolution",
     "ConvergenceError",
     "solve_neumann_system",
@@ -104,45 +109,42 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelContext:
-    """A curve, the auxiliary function A defining the kernels, and the fold.
-
-    Frozen, with the cache left out of __init__, so dataclasses.replace
-    gives a refolded context a cache of its own.
-    """
+    """A curve, the interior base alpha of a bounded domain (None if unbounded), the fold."""
 
     curve: BoundaryCurve
-    A: np.ndarray
     alpha: complex | None
     fold: _MirrorFold
-    _cache: dict = field(init=False, default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
         return self.curve.n
 
+    @property
+    def A(self) -> np.ndarray:
+        """The auxiliary function at the nodes: eta - alpha, or 1 if unbounded."""
+        if self.alpha is None:
+            return np.ones(self.n, dtype=complex)
+        return self.curve.eta - self.alpha
+
     def matrices(self):
-        """Dense Nystroem matrices (N, M1) at the fold's rows, assembled once and cached."""
-        if "NM" not in self._cache:
-            self._cache["NM"] = _assemble(self)
-        return self._cache["NM"]
+        """Dense Nystroem matrices (N, M1) at the fold's rows, assembled on every call."""
+        return _assemble(self)
 
 
-def bounded_context(curve: BoundaryCurve, alpha: complex) -> KernelContext:
-    """Kernel data for a bounded domain: A(t) = eta(t) - alpha, alpha interior."""
-    if curve.orientation != "ccw":
-        raise ValueError("bounded mode expects a counterclockwise curve")
-    alpha = complex(alpha)
-    # a non-finite alpha, or one on a node, gets nan winding sums: outside
-    if not _base_ok(curve, alpha)[0][0]:
-        raise ValueError("base point alpha must lie inside the domain")
-    return KernelContext(curve, curve.eta - alpha, alpha, _mirror_fold(curve, None))
+def context(curve: BoundaryCurve, base: complex) -> KernelContext:
+    """The unfolded kernel context of the disk map of curve at base.
 
-
-def unbounded_context(curve: BoundaryCurve) -> KernelContext:
-    """Kernel data for an unbounded domain: A(t) = 1."""
-    if curve.orientation != "cw":
-        raise ValueError("unbounded mode expects a clockwise curve")
-    return KernelContext(curve, np.ones(curve.n, dtype=complex), None, _mirror_fold(curve, None))
+    base is the interior point alpha of a counterclockwise curve's domain,
+    or a point beta of a clockwise curve's bounded complement; it must pass
+    curves._base_ok. Only alpha enters the kernels.
+    """
+    base = complex(base)
+    bounded = curve.orientation == "ccw"
+    # a non-finite base, or one on a node, gets nan winding sums and fails
+    if not _base_ok(curve, base)[0][0]:
+        raise ValueError("base point alpha must lie inside the domain" if bounded
+                         else "auxiliary point beta must lie in the bounded complement")
+    return KernelContext(curve, base if bounded else None, _mirror_fold(curve, None))
 
 
 @dataclass(frozen=True)
@@ -248,11 +250,11 @@ def _assemble(ctx: KernelContext):
     """
     cv = ctx.curve
     n = cv.n
-    rows = ctx.fold.rows
+    rows, A = ctx.fold.rows, ctx.A
     z = cv.eta[rows]  # where the rows' nodes lie
     col = np.zeros(n, dtype=complex)
     nz = cv.deta != 0.0  # corner columns stay exactly zero
-    col[nz] = cv.deta[nz] / (ctx.A[nz] * np.pi)
+    col[nz] = cv.deta[nz] / (A[nz] * np.pi)
     cot = _circulant(_cot_row(n) / (2.0 * np.pi))
     N = np.empty((z.size, n), dtype=float)
     M1 = np.empty((z.size, n), dtype=float)
@@ -262,7 +264,7 @@ def _assemble(ctx: KernelContext):
         Nb, Mb = N[out], M1[out]
         diag = (np.arange(Nb.shape[0]), np.arange(n)[src])
         diff[diag] = 1.0  # placeholder, diagonal set below
-        kblock = (ctx.A[src, None] / diff) * col[None, :]
+        kblock = (A[src, None] / diff) * col[None, :]
         Nb[...] = kblock.imag
         Mb[...] = kblock.real
         Mb += cot[src]
@@ -286,13 +288,6 @@ def conjugate_periodic(values: np.ndarray) -> np.ndarray:
     mult = -1j * np.sign(k)
     mult[-1] = 0.0  # Nyquist
     return np.fft.irfft(mult * np.fft.rfft(values), n)
-
-
-def apply_M(ctx: KernelContext, rho: np.ndarray) -> np.ndarray:
-    """M rho at the fold's rows: spectral cotangent part plus M1."""
-    _, M1 = ctx.matrices()
-    rho = np.asarray(rho, dtype=float)
-    return -conjugate_periodic(rho)[ctx.fold.rows] + ctx.curve.weight * (M1 @ rho)
 
 
 @dataclass(frozen=True)
@@ -403,8 +398,9 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     for each group image of q, with x0 restricted to q. h is the mean of
     the pointwise values at q (weighted by the group order) and at the
     fixed nodes (weight 1), and residual is the folded system's. Under the
-    identity fold (bounded_context, unbounded_context) these are the full
-    system, the plain mean and its residual, and gamma may be any data.
+    identity fold (a context from context()) these are the full system,
+    the plain mean and its residual, and gamma may be any data. M rho is
+    the spectral cotangent part plus M1 rho, from the M1 of this solve.
 
     Without x0, the solution is memoized on a hash of eta, eta', A and
     gamma, and on which mirrors were folded: a repeat returns the stored
@@ -430,7 +426,8 @@ def solve_neumann_system(ctx: KernelContext, gamma: np.ndarray,
     x, iters, refine, residual = _solve_dense(
         fold.fold(N[:m]), rhs, w, None if x0 is None else x0[fold.q])
     rho = fold.unfold(x)
-    h_pw = 0.5 * (apply_M(ctx, rho) - gamma[fold.rows] + w * (N @ gamma))
+    M_rho = -conjugate_periodic(rho)[fold.rows] + w * (M1 @ rho)
+    h_pw = 0.5 * (M_rho - gamma[fold.rows] + w * (N @ gamma))
     h = fold.mean(h_pw)
     spread = float(np.max(np.abs(h_pw - h)))
     sol = GnkSolution(rho=rho, h=h, h_spread=spread, gmres_iters=iters, residual=residual,

@@ -12,7 +12,7 @@ import numpy as np
 
 from conforminv import (
     QuadConfig,
-    bounded_context,
+    context,
     crowding_theta2_of_r,
     harmonic_measure_all,
     hyperbolic_distance,
@@ -240,7 +240,7 @@ def test_property_suite():
     parts.append(("mapping-constant spread", max(spreads), 1e-8))
 
     # closed-form kernels on the unit circle
-    ctx = bounded_context(make_ellipse(1.0, 1.0, 16), 0.0j)
+    ctx = context(make_ellipse(1.0, 1.0, 16), 0.0j)
     N, M1 = ctx.matrices()
     worst_kernel = max(float(np.max(np.abs(N + 1.0 / (2.0 * PI)))),
                        float(np.max(np.abs(M1))))

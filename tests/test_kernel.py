@@ -16,8 +16,7 @@ from conforminv.curves import (make_amoeba, make_ellipse, make_opened_slit_disk,
                                make_rectangle, spectral_derivative)
 from conforminv.kernel import (ConvergenceError, GnkSolution, _assemble,
                                _circulant, _cot_row, _mirror_fold, _residual_longdouble,
-                               _solve_dense, apply_M, bounded_context, conjugate_periodic,
-                               solve_neumann_system, unbounded_context)
+                               _solve_dense, conjugate_periodic, context, solve_neumann_system)
 
 INV_2PI = 1.0 / (2.0 * np.pi)
 
@@ -28,14 +27,14 @@ def test_circle_matrices_closed_form(circle):
     # bounded, alpha = 0: N is the constant -1/(2 pi) and M1 vanishes;
     # at larger n the cotangent cancellation grows like n * eps, so the
     # tight entrywise bound is asserted on a small grid
-    ctx = bounded_context(circle(16), 0.0)
+    ctx = context(circle(16), 0.0)
     N, M1 = ctx.matrices()
     assert np.max(np.abs(N + INV_2PI)) <= 1e-14
     assert np.max(np.abs(M1)) <= 1e-14
 
 
 def test_circle_matrices_closed_form_larger_n(circle):
-    ctx = bounded_context(circle(256), 0.0)
+    ctx = context(circle(256), 0.0)
     N, M1 = ctx.matrices()
     assert np.max(np.abs(N + INV_2PI)) <= 256 * 1e-14
     assert np.max(np.abs(M1)) <= 256 * 1e-13
@@ -43,14 +42,14 @@ def test_circle_matrices_closed_form_larger_n(circle):
 
 def test_circle_unbounded_closed_form(circle):
     # clockwise circle with A = 1 gives the same constant kernel
-    ctx = unbounded_context(circle(16, kind="exterior"))
+    ctx = context(circle(16, kind="exterior"), 0.0)
     N, M1 = ctx.matrices()
     assert np.max(np.abs(N + INV_2PI)) <= 1e-14
     assert np.max(np.abs(M1)) <= 1e-14
 
 
 def test_apply_N_circle_is_minus_mean(circle):
-    ctx = bounded_context(circle(64), 0.0)
+    ctx = context(circle(64), 0.0)
     t, w = ctx.curve.t, ctx.curve.weight
     N, _ = ctx.matrices()
     np.testing.assert_allclose(w * (N @ np.cos(t)), 0.0, atol=1e-13)
@@ -60,10 +59,11 @@ def test_apply_N_circle_is_minus_mean(circle):
 
 
 def test_apply_M_circle_is_conjugation(circle):
-    ctx = bounded_context(circle(64), 0.0)
-    t = ctx.curve.t
-    np.testing.assert_allclose(apply_M(ctx, np.cos(t)), -np.sin(t), atol=1e-13)
-    np.testing.assert_allclose(apply_M(ctx, np.sin(t)), np.cos(t), atol=1e-13)
+    ctx = context(circle(64), 0.0)
+    t, w = ctx.curve.t, ctx.curve.weight
+    _, M1 = ctx.matrices()
+    for rho, m_rho in ((np.cos(t), -np.sin(t)), (np.sin(t), np.cos(t))):
+        np.testing.assert_allclose(-conjugate_periodic(rho) + w * (M1 @ rho), m_rho, atol=1e-13)
 
 
 # ------------------------------------------------------- row-sum structure
@@ -72,7 +72,7 @@ def test_row_sums_enforced_everywhere():
     # the diagonals are defined to make w * row sums exactly -1 (N) and 0
     # (M1); this must hold on cornered curves too
     curve = make_polygon([0.0, 2.0, 2.0 + 1.0j, 1.0j], 32)
-    ctx = bounded_context(curve, 1.0 + 0.4j)
+    ctx = context(curve, 1.0 + 0.4j)
     N, M1 = ctx.matrices()
     w = curve.weight
     np.testing.assert_allclose(w * N.sum(axis=1), -1.0, atol=1e-12)
@@ -89,7 +89,7 @@ def test_rowsum_diagonal_matches_analytic_limit_on_smooth_curves():
     # (1/pi)(eta''/(2 eta') - A'/A), A' = eta', agree up to the
     # (superalgebraically small) trapezoidal error
     curve = make_ellipse(1.0, 0.5, 256, "interior")
-    ctx = bounded_context(curve, 0.2 + 0.1j)
+    ctx = context(curve, 0.2 + 0.1j)
     N, M1 = ctx.matrices()
     ddeta = spectral_derivative(curve.deta)
     limit = (ddeta / (2.0 * curve.deta) - curve.deta / ctx.A) / np.pi
@@ -100,7 +100,7 @@ def test_rowsum_diagonal_matches_analytic_limit_on_smooth_curves():
 
 def test_scalar_kernels_match_matrices_off_diagonal():
     curve = make_amoeba(128)
-    ctx = bounded_context(curve, 0.3 + 0.2j)
+    ctx = context(curve, 0.3 + 0.2j)
     N, M1 = ctx.matrices()
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -130,9 +130,9 @@ L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
 
 
 @pytest.mark.parametrize("build", [
-    lambda: bounded_context(make_ellipse(1.0, 0.5, 256), 0.1 + 0.05j),
-    lambda: bounded_context(make_polygon(L_VERTICES, 64), 2j),  # zero corner columns
-    lambda: unbounded_context(make_ellipse(1.0, 0.5, 256, "exterior")),
+    lambda: context(make_ellipse(1.0, 0.5, 256), 0.1 + 0.05j),
+    lambda: context(make_polygon(L_VERTICES, 64), 2j),  # zero corner columns
+    lambda: context(make_ellipse(1.0, 0.5, 256, "exterior"), 0.0),
 ], ids=["ellipse-interior", "L", "ellipse-exterior"])
 def test_assembly_bits_independent_of_block_size(build, monkeypatch):
     # every entry and row sum keeps its order whatever the row block: the
@@ -152,7 +152,7 @@ def test_assembly_bits_independent_of_block_size(build, monkeypatch):
 
 def test_assembly_peak_memory_is_the_matrices():
     # temporaries are a few cache-sized blocks, not n^2-scale arrays
-    ctx = unbounded_context(make_ellipse(1.0, 0.5, 2048, "exterior"))
+    ctx = context(make_ellipse(1.0, 0.5, 2048, "exterior"), 0.0)
     tracemalloc.start()
     try:
         N, M1 = _assemble(ctx)
@@ -184,7 +184,7 @@ def test_solve_analytic_data_bounded():
     # gamma = Re(A g) with g analytic inside forces rho = Im(A g), h = 0
     curve = make_ellipse(1.0, 0.6, 512, "interior")
     alpha = 0.3 + 0.1j
-    ctx = bounded_context(curve, alpha)
+    ctx = context(curve, alpha)
     ag = (curve.eta - alpha) * (curve.eta ** 2 - curve.eta)
     sol = solve_neumann_system(ctx, ag.real)
     np.testing.assert_allclose(sol.rho, ag.imag, atol=1e-12)
@@ -197,7 +197,7 @@ def test_solve_analytic_data_unbounded():
     # gamma = Re(f) with f analytic at infinity and f(inf) = 0 gives
     # rho = Im(f), h = 0
     curve = make_ellipse(2.0, 1.0, 512, "exterior")
-    ctx = unbounded_context(curve)
+    ctx = context(curve, 0.0)
     f = 1.0 / curve.eta
     sol = solve_neumann_system(ctx, f.real)
     np.testing.assert_allclose(sol.rho, f.imag, atol=1e-12)
@@ -208,7 +208,7 @@ def test_solve_circle_log_data(circle):
     # disk of radius 2 about alpha = 0: gamma = -log|eta| is constant, so
     # the map is the identity scaled by 1/2 and h = log 2
     cv = circle(128, radius=2.0)
-    ctx = bounded_context(cv, 0.0)
+    ctx = context(cv, 0.0)
     sol = solve_neumann_system(ctx, -np.log(np.abs(cv.eta)))
     np.testing.assert_allclose(sol.rho, 0.0, atol=1e-13)
     assert abs(sol.h - np.log(2.0)) < 1e-14
@@ -217,21 +217,22 @@ def test_solve_circle_log_data(circle):
 
 def test_dense_direct_matches_gmres():
     curve = make_ellipse(1.0, 0.4, 256, "interior")
-    ctx = bounded_context(curve, 0.1 + 0.05j)
+    ctx = context(curve, 0.1 + 0.05j)
     gamma = -np.log(np.abs(ctx.A))
     it = solve_neumann_system(ctx, gamma)
     N, M1 = ctx.matrices()
     n, w = curve.n, curve.weight
     rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
     rho = np.linalg.solve(np.eye(n) - w * N, rhs)
-    h = np.mean(0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma)))
+    M_rho = -conjugate_periodic(rho) + w * (M1 @ rho)
+    h = np.mean(0.5 * (M_rho - gamma + w * (N @ gamma)))
     np.testing.assert_allclose(it.rho, rho, atol=1e-12)
     assert abs(it.h - h) < 1e-13
 
 
 def test_gmres_iteration_cap_raises(monkeypatch):
     curve = make_polygon([0.0, 2.0, 2.0 + 1.0j, 1.0j], 64)
-    ctx = bounded_context(curve, 1.0 + 0.4j)
+    ctx = context(curve, 1.0 + 0.4j)
     gamma = -np.log(np.abs(ctx.A))
     monkeypatch.setattr(kernel, "_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError) as err:
@@ -240,23 +241,31 @@ def test_gmres_iteration_cap_raises(monkeypatch):
 
 
 def test_context_validation(circle):
-    with pytest.raises(ValueError):
-        bounded_context(circle(32, kind="exterior"), 0.0)
-    with pytest.raises(ValueError):
-        unbounded_context(circle(32))
-    with pytest.raises(ValueError):
-        bounded_context(circle(32), 1.0 + 0.0j)  # on the boundary
+    # the orientation is the mode: a base must wind +1 (ccw) or -1 (cw)
+    with pytest.raises(ValueError, match="beta must lie in the bounded complement"):
+        context(circle(32, kind="exterior"), 2.0)  # in the unbounded domain
+    with pytest.raises(ValueError, match="alpha must lie inside the domain"):
+        context(circle(32), 1.0 + 0.0j)  # on the boundary
+    for curve, base in ((circle(32), complex(np.nan, 0.0)),
+                        (circle(32, kind="exterior"), complex(np.inf, 0.0))):
+        with pytest.raises(ValueError, match="must lie in"):
+            context(curve, base)
+    # the maps refuse the other orientation before any base is checked
+    with pytest.raises(ValueError, match="bounded mode expects a counterclockwise curve"):
+        map_bounded(circle(32, kind="exterior"), 0.0)
+    with pytest.raises(ValueError, match="unbounded mode expects a clockwise curve"):
+        map_unbounded(circle(32), 0.0)
     with pytest.raises(ValueError, match="gamma must match"):
-        solve_neumann_system(bounded_context(circle(32), 0.0), np.zeros(31))
+        solve_neumann_system(context(circle(32), 0.0), np.zeros(31))
     triangle = make_polygon([0.0, 2.0, 2j], 9)  # 27 nodes
     with pytest.raises(ValueError, match="node count must be even"):
-        solve_neumann_system(bounded_context(triangle, 0.5 + 0.5j), np.zeros(27))
+        solve_neumann_system(context(triangle, 0.5 + 0.5j), np.zeros(27))
 
 
 # ------------------------------------------------------------- solve memo
 
 def _l_problem(base=2j, n_s=64):
-    ctx = bounded_context(make_polygon(L_VERTICES, n_s), base)
+    ctx = context(make_polygon(L_VERTICES, n_s), base)
     return ctx, -np.log(np.abs(ctx.curve.eta - base))
 
 
@@ -268,7 +277,6 @@ def test_memo_hit_returns_stored_solution_without_assembly(assemblies):
     hit = solve_neumann_system(ctx2, gamma2)
     assert hit is cold
     assert len(assemblies) == 1
-    assert ctx2._cache == {}
     # the stored bits are those of a cold solve
     kernel._memo.clear()
     again = solve_neumann_system(*_l_problem())
@@ -296,13 +304,13 @@ def test_memo_keyed_on_content_not_identity(assemblies):
     assert solve_neumann_system(*_l_problem()) is first
     moved = solve_neumann_system(*_l_problem(base=2j + 1e-9))
     assert moved is not first
-    same_gamma = solve_neumann_system(bounded_context(ctx.curve, 0.5 + 2j), gamma)
+    same_gamma = solve_neumann_system(context(ctx.curve, 0.5 + 2j), gamma)
     assert same_gamma is not first and same_gamma is not moved
     assert len(assemblies) == 3
 
 
 def test_memo_evicts_least_recently_used(circle, assemblies):
-    ctx = bounded_context(circle(16), 0.0)
+    ctx = context(circle(16), 0.0)
     gammas = [np.cos(k * ctx.curve.t) for k in range(kernel._MEMO_SIZE + 1)]
     sols = [solve_neumann_system(ctx, g) for g in gammas[:-1]]
     assert solve_neumann_system(ctx, gammas[0]) is sols[0]  # now most recent
@@ -323,7 +331,7 @@ def test_memo_never_stores_a_failed_solve(assemblies, monkeypatch):
 
 
 def test_solution_is_read_only(circle):
-    ctx = bounded_context(circle(16), 0.0)
+    ctx = context(circle(16), 0.0)
     sol = solve_neumann_system(ctx, np.cos(ctx.curve.t))
     with pytest.raises(ValueError):
         sol.rho[0] = 1.0
@@ -374,7 +382,7 @@ def test_refinement_counts_against_max_iters(monkeypatch):
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                     reason="long double is float64 here")
 def test_longdouble_residual_is_exact_to_float64(circle, monkeypatch):
-    ctx = bounded_context(circle(16), 0.3 + 0.2j)
+    ctx = context(circle(16), 0.3 + 0.2j)
     N, _ = ctx.matrices()
     w = ctx.curve.weight
     x = np.cos(3.0 * ctx.curve.t)
@@ -393,7 +401,7 @@ def test_solve_below_the_gmres_floor_passes(monkeypatch):
     # it. Either way the solve passes, and a memo hit reports the stored
     # counts.
     curve = make_ellipse(1.0, 0.4, 256, "interior")
-    ctx = bounded_context(curve, 0.1 + 0.05j)
+    ctx = context(curve, 0.1 + 0.05j)
     gamma = -np.log(np.abs(ctx.A))
     with monkeypatch.context() as patch:
         patch.setattr(kernel, "_GMRES_TOL", 5e-16)
@@ -480,7 +488,7 @@ def test_rectangle_reflections_map_nodes_onto_nodes(n_s):
 
 
 def test_row_assembly_keeps_the_full_bits(monkeypatch):
-    ctx = bounded_context(make_rectangle(1.3, 64), 0.5 + 0.65j)
+    ctx = context(make_rectangle(1.3, 64), 0.5 + 0.65j)
     folded = _folded(ctx, ctx.alpha)
     rows = folded.fold.rows
     N, M1 = ctx.matrices()
@@ -496,8 +504,8 @@ def test_folded_solve_matches_full(r, n_s):
     curve = make_rectangle(r, n_s)
     alpha = 0.5 * (1.0 + 1j * r)
     gamma = -np.log(np.abs(curve.eta - alpha))
-    full = solve_neumann_system(bounded_context(curve, alpha), gamma)
-    ctx = _folded(bounded_context(curve, alpha), alpha)
+    full = solve_neumann_system(context(curve, alpha), gamma)
+    ctx = _folded(context(curve, alpha), alpha)
     folded = solve_neumann_system(ctx, gamma)
     assert folded.folded == 2 and full.folded == 0
     assert ctx.matrices()[0].shape == (n_s + 3, 4 * n_s)
@@ -512,8 +520,7 @@ def test_folded_solve_matches_full(r, n_s):
 
 def _full_solution(curve, base):
     """The unfolded solve of the disk map's problem at base."""
-    ctx = bounded_context(curve, base) if curve.orientation == "ccw" else unbounded_context(curve)
-    return solve_neumann_system(ctx, -np.log(np.abs(curve.eta - base)))
+    return solve_neumann_system(context(curve, base), -np.log(np.abs(curve.eta - base)))
 
 
 def _map(curve, base):
@@ -613,14 +620,15 @@ def test_memo_keeps_folded_and_full_solves_apart(assemblies):
 def test_rectangle_context_with_any_gamma_takes_the_full_path():
     # gamma = x is odd under x -> 1 - x, so no fold could represent its solution
     curve = make_rectangle(1.3, 64)
-    ctx = bounded_context(curve, 0.5 + 0.65j)
+    ctx = context(curve, 0.5 + 0.65j)
     gamma = curve.eta.real
     sol = solve_neumann_system(ctx, gamma)
     N, M1 = ctx.matrices()
     n, w = curve.n, curve.weight
     rhs = conjugate_periodic(gamma) - w * (M1 @ gamma)
     rho = np.linalg.solve(np.eye(n) - w * N, rhs)
-    h = np.mean(0.5 * (apply_M(ctx, rho) - gamma + w * (N @ gamma)))
+    M_rho = -conjugate_periodic(rho) + w * (M1 @ rho)
+    h = np.mean(0.5 * (M_rho - gamma + w * (N @ gamma)))
     assert not sol.folded
     np.testing.assert_allclose(sol.rho, rho, atol=1e-12)
     assert abs(sol.h - h) < 1e-13

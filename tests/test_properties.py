@@ -37,11 +37,10 @@ similarities = st.builds(
 
 
 # four counterclockwise points on the unit circle, as angles: three gaps are
-# drawn and the fourth closes the turn; each is at least 0.3 rad and, as the
-# order check needs, less than pi
+# drawn and the fourth closes the turn; each is from 0.3 to 4.5 rad
 quadrilaterals = st.tuples(
-    st.floats(0.0, 2.0 * math.pi), st.floats(0.3, 3.0), st.floats(0.3, 3.0), st.floats(0.3, 3.0),
-).filter(lambda t: 0.3 <= 2.0 * math.pi - sum(t[1:]) <= 3.0).map(
+    st.floats(0.0, 2.0 * math.pi), st.floats(0.3, 4.5), st.floats(0.3, 4.5), st.floats(0.3, 4.5),
+).filter(lambda t: 0.3 <= 2.0 * math.pi - sum(t[1:]) <= 4.5).map(
     lambda t: t[0] + np.cumsum((0.0,) + t[1:]))
 QUAD_CFG = QuadConfig(n_s=32)
 

@@ -5,8 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conforminv import (QuadConfig, invariants, make_polygon, make_rectangle, oracle_quad_r,
-                        quad_modulus, quad_modulus_general)
+from conforminv import (QuadConfig, invariants, make_ellipse, make_polygon, make_rectangle,
+                        map_bounded, oracle_quad_r, quad_modulus, quad_modulus_general)
 
 PI = np.pi
 
@@ -93,6 +93,24 @@ def test_marked_point_validation():
             quad_modulus(*pts)
     with pytest.raises(ValueError):  # not counterclockwise
         quad_modulus(good[0], good[2], good[1], good[3])
+    with pytest.raises(ValueError, match="counterclockwise order"):  # more than one turn
+        quad_modulus(*np.exp(1j * np.array([0.0, 3.0, 6.0, 9.0])))
+
+
+def test_marked_points_more_than_half_a_turn_apart():
+    # a counterclockwise step may exceed pi: (0, 5) is one, not a step back
+    tr = quad_modulus(*np.exp(1j * np.array([0.0, 5.0, 5.5, 6.0])), cfg=QuadConfig(n_s=128))
+    assert tr.converged
+    assert abs(tr.r - oracle_quad_r(5.0, 5.5, 6.0)) <= 1e-8
+    # increasing parameters whose disk images lie more than pi apart
+    curve, params = make_ellipse(1.0, 0.6, 256), np.array([0.0, 0.2, 3.6, 3.8])
+    cfg = QuadConfig(n_s=64)
+    tr = quad_modulus_general(curve, params, cfg=cfg)
+    idx = np.rint(params / (2.0 * PI) * curve.n).astype(int)
+    images = invariants._circle_images(map_bounded(curve), idx)
+    conjugate = quad_modulus(*np.roll(images, -1), cfg=cfg)
+    assert tr.converged and conjugate.converged
+    assert abs(tr.r * conjugate.r - 1.0) <= 1e-12
 
 
 def test_general_domain_validation():

@@ -1,4 +1,4 @@
-"""Count code lines per module under src/, and the library's and the CLI's settable values.
+"""Count code lines per module under src/, exported names, and settable values.
 
 A line counts when it holds at least one token that is not a comment, a
 newline or indentation, after the module, class and function docstrings
@@ -8,7 +8,8 @@ counts its constructor's, so a dataclass its fields with a default),
 booked to the module that defines the callable. A settable value of the
 CLI is an argparse action of a subcommand other than its --help: a
 positional, an option or a flag of ``conforminv.cli.build_parser()``.
-Both are imported from ROOT. Run from anywhere:
+The exported names are the entries of each submodule's ``__all__``, and
+of the package's. All three are imported from ROOT. Run from anywhere:
 
     python3 tools/code_lines.py [ROOT]
 
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
 import inspect
 import io
+import pkgutil
 import sys
 import tokenize
 from pathlib import Path
@@ -46,6 +49,18 @@ def code_lines(source: str) -> int:
         if tok.type not in _SKIP:
             lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in docs)
     return len(lines)
+
+
+def exported_names() -> dict[str, int]:
+    """Submodule name -> length of its __all__, for the submodules that have one."""
+    import conforminv
+
+    counts = {}
+    for info in pkgutil.iter_modules(conforminv.__path__):
+        names = getattr(importlib.import_module(f"conforminv.{info.name}"), "__all__", None)
+        if names is not None:
+            counts[info.name] = len(names)
+    return counts
 
 
 def library_values() -> dict[str, int]:
@@ -82,12 +97,16 @@ def main(argv=None) -> int:
         print(f"{count:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
     sys.path.insert(0, str(root))
-    for title, values in (("Library settable values:", library_values()),
+    import conforminv
+
+    for title, values in (("Exported names:", exported_names()),
+                          ("Library settable values:", library_values()),
                           ("CLI settable values:", settable_values())):
         print(title)
         for name, count in values.items():
             print(f"{count:6d}  {name}")
         print(f"{sum(values.values()):6d}  total")
+    print(f"Package exports: {len(conforminv.__all__)}")
     return 0
 
 
