@@ -89,9 +89,9 @@ def library_lines():
     """'name exact-value' lines for the library calls behind the invocations."""
     import numpy as np
 
-    from conforminv import (QuadConfig, harmonic_measure, make_amoeba, make_ellipse,
-                            make_opened_slit_disk, make_polygon, make_rectangle, map_bounded,
-                            map_unbounded, quad_modulus, reduced_modulus)
+    from conforminv import (QuadConfig, harmonic_measure, harmonic_measure_all, make_amoeba,
+                            make_ellipse, make_opened_slit_disk, make_polygon, make_rectangle,
+                            map_bounded, map_unbounded, quad_modulus, reduced_modulus)
 
     lshape = DOMAINS["L.json"]
     curve = make_polygon([complex(*v) for v in lshape["vertices"]], lshape["ns"],
@@ -112,12 +112,23 @@ def library_lines():
             yield f"{name} {field}={float(getattr(sol, field)).hex()}"
         yield f"{name} gmres_iters={sol.gmres_iters} folded={sol.folded}"
     yield f"harm L side 2 at 2i={float(harmonic_measure(curve, 2, None, [2j])[0]).hex()}"
+    # every side and the column sums at three points, from one batch
+    points = (2j, 3.0, 0.5 - 0.5j)
+    sides = harmonic_measure_all(curve, 2j, list(points))
+    for z, column in zip(points, sides.T):
+        values = " ".join(float(v).hex() for v in column)
+        yield f"harm_all L base 2i at {z} sides={values} sum={float(column.sum()).hex()}"
     yield f"redmod exterior ellipse 1, 0.5={float(reduced_modulus(ellipse)).hex()}"
     for name, angles in (("-1,-0.5,0,0.5", (-1.0, -0.5, 0.0, 0.5)),
                          ("0,0.5,0.8,1.5", (0.0, 0.5, 0.8, 1.5))):
         trace = quad_modulus(*(complex(np.exp(1j * np.pi * a)) for a in angles),
                              cfg=QuadConfig(n_s=512))
         yield f"quadmod angles-pi {name} r={float(trace.r).hex()} iterations={trace.iterations}"
+    # the quad-sweep workload's marked points (1, i, e^{i theta2}, -i) at its nine angles
+    for theta2 in np.pi * np.arange(0.6, 1.45, 0.1):
+        trace = quad_modulus(1.0, 1j, complex(np.exp(1j * theta2)), -1j, cfg=QuadConfig(n_s=256))
+        yield (f"quad sweep theta2/pi={theta2 / np.pi:.1f} n_s=256 "
+               f"r={float(trace.r).hex()} iterations={trace.iterations}")
 
 
 def main() -> int:
