@@ -9,8 +9,7 @@ measure of boundary sides, and the conformal modulus of quadrilaterals.
 from .curves import (BoundaryCurve, make_amoeba, make_circular_arc_polygon,
                      make_ellipse, make_opened_slit_disk, make_polygon,
                      make_rectangle, spectral_derivative, winding_inside)
-from .diskmap import (DiskMap, Mobius, cauchy_eval, map_bounded, map_unbounded,
-                      mobius_three_points, slit_opening_forward)
+from .diskmap import DiskMap, cauchy_eval, map_bounded, map_unbounded, slit_opening_forward
 from .exact import (agm, crowding_r_of_theta2, crowding_theta2_of_r, ellip_k, mu,
                     mu_inv, oracle_quad_r, oracle_reduced_modulus)
 from .invariants import (GridSpec, QuadConfig, QuadModulusTrace, ScalarField,
@@ -29,8 +28,7 @@ __all__ = [
     "spectral_derivative", "winding_inside",
     "KernelContext", "context", "conjugate_periodic",
     "GnkSolution", "ConvergenceError", "solve_neumann_system",
-    "DiskMap", "map_bounded", "map_unbounded", "cauchy_eval", "Mobius",
-    "mobius_three_points", "slit_opening_forward",
+    "DiskMap", "map_bounded", "map_unbounded", "cauchy_eval", "slit_opening_forward",
     "agm", "ellip_k", "mu", "mu_inv", "oracle_reduced_modulus",
     "oracle_quad_r", "crowding_r_of_theta2", "crowding_theta2_of_r",
     "GridSpec", "ScalarField", "hyperbolic_distance", "hyperbolic_distance_field",

@@ -34,7 +34,9 @@ Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
 closed-form expression in f. _evaluate gives point location (winding
 number, nearest-node distance) and Phi from one pass over the boundary
-nodes; cauchy_eval and the invariants' grid fields both read it.
+nodes; cauchy_eval and the invariants' grid fields both read it. What
+the invariants need afterwards lies on the unit circle and is closed-form
+there, so it lives in invariants, not here.
 """
 
 from __future__ import annotations
@@ -54,8 +56,6 @@ __all__ = [
     "map_bounded",
     "map_unbounded",
     "cauchy_eval",
-    "Mobius",
-    "mobius_three_points",
     "slit_opening_forward",
 ]
 
@@ -174,48 +174,6 @@ def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
                       "accuracy degrades there", stacklevel=2)
     phi = phi.reshape(z_arr.shape)
     return phi[0] if scalar else phi
-
-
-@dataclass(frozen=True)
-class Mobius:
-    """Moebius transform (a z + b) / (c z + d)."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        return (self.a * z + self.b) / (self.c * z + self.d)
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-
-def _to_zero_one_inf(z1: complex, z2: complex, z3: complex) -> np.ndarray:
-    # matrix of the transform sending (z1, z2, z3) to (0, 1, infinity)
-    return np.array([[z2 - z3, -z1 * (z2 - z3)],
-                     [z2 - z1, -z3 * (z2 - z1)]], dtype=complex)
-
-
-def mobius_three_points(sources, targets) -> Mobius:
-    """The unique Moebius transform mapping three points to three points.
-
-    Both triples must consist of pairwise distinct finite points.
-    """
-    src = [complex(v) for v in sources]
-    tgt = [complex(v) for v in targets]
-    if len(src) != 3 or len(tgt) != 3:
-        raise ValueError("need exactly three sources and three targets")
-    for tri in (src, tgt):
-        if tri[0] == tri[1] or tri[0] == tri[2] or tri[1] == tri[2]:
-            raise ValueError("anchor points must be pairwise distinct")
-    ms = _to_zero_one_inf(*src)
-    mt = _to_zero_one_inf(*tgt)
-    mt_inv = np.array([[mt[1, 1], -mt[0, 1]], [-mt[1, 0], mt[0, 0]]], dtype=complex)
-    m = mt_inv @ ms
-    return Mobius(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
 
 
 def slit_opening_forward(case: str, r: float, z, a: float = 0.0) -> np.ndarray:

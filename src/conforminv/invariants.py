@@ -6,6 +6,11 @@
 * harmonic measure of boundary sides between corners
 * conformal modulus of quadrilaterals, by an iteration that adjusts a
   rectangle's aspect ratio until its four corners match the marked points
+
+Both of the last two need only points on the unit circle once the domain
+is mapped onto the disk, and both have closed forms there: the harmonic
+measure of an arc through the angle it subtends, and the image of the
+rectangle's fourth corner through the cross-ratio.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 # point location under these names
 from .curves import (BoundaryCurve, boundary_clearance, make_opened_slit_disk,  # noqa: F401
                      make_rectangle, node_spacing_scale, winding_inside, winding_number)
-from .diskmap import _evaluate, cauchy_eval, map_bounded, map_unbounded, mobius_three_points
+from .diskmap import _evaluate, cauchy_eval, map_bounded, map_unbounded
 
 __all__ = [
     "GridSpec",
@@ -131,9 +136,7 @@ def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
 def _circle_images(dm, idx) -> np.ndarray:
     """Phi at the boundary nodes idx, projected onto the unit circle."""
     w = dm.phi_boundary[idx]
-    # abs, not np.abs: on a numpy scalar the two round differently, and the
-    # rectangle iteration's fourth corner has always used the scalar one
-    return w / abs(w)
+    return w / np.abs(w)
 
 
 # ----------------------------------------------------------------------
@@ -233,18 +236,15 @@ def reduced_modulus_slit_disk(case: str, r: float, a: float = 0.0,
 # ----------------------------------------------------------------------
 
 def _side_measure(zet: np.ndarray, k: int, w: np.ndarray) -> np.ndarray:
-    """Harmonic measure of the arc between vertex images k-1 and k (1-based side k)."""
-    m = zet.size
-    z1 = zet[k - 1]
-    z3 = zet[k % m]
-    ang1 = math.atan2(z1.imag, z1.real)
-    ang3 = math.atan2(z3.imag, z3.real)
-    if ang3 < ang1:
-        ang3 += TWO_PI
-    z2 = np.exp(0.5j * (ang1 + ang3))
-    psi = mobius_three_points((z1, z2, z3), (-1j, 1.0, 1j))
-    u = psi(w)
-    return np.angle((1j - u) / (1.0 - 1j * u)) / math.pi
+    """Harmonic measure at disk points w of 1-based side k's arc, zet[k-1] to zet[k mod m].
+
+    The arc runs counterclockwise from z1 to z3 and subtends the angle
+    theta = arg((z3 - w) / (z1 - w)) in [0, 2 pi) at w; its measure there
+    is (2 theta - |arc|) / (2 pi) (Garnett & Marshall, Harmonic Measure).
+    """
+    z1, z3 = zet[k - 1], zet[k % zet.size]
+    theta = np.angle((z3 - w) / (z1 - w)) % TWO_PI
+    return (2.0 * theta - np.angle(z3 / z1) % TWO_PI) / TWO_PI
 
 
 def _check_sides(curve: BoundaryCurve, sides):
@@ -255,8 +255,9 @@ def _check_sides(curve: BoundaryCurve, sides):
 
 def _corner_map(curve: BoundaryCurve, alpha: complex | None):
     """Disk map of the domain and the unit-circle images of its corners."""
-    if not curve.corners:
-        raise ValueError("harmonic measure of sides needs a domain with corners")
+    # one corner leaves one side, the whole boundary, whose arc closes on itself
+    if len(curve.corners) < 2:
+        raise ValueError("harmonic measure of sides needs a domain with at least two corners")
     dm = map_bounded(curve, alpha)
     return dm, _circle_images(dm, list(curve.corners))
 
@@ -267,9 +268,9 @@ def harmonic_measure(curve: BoundaryCurve, side: int, alpha: complex | None, z) 
     ``side`` is 1-based: side k runs from corner k to corner k+1 (cyclic),
     so for a polygon from vertex k to vertex k+1. The domain is mapped onto
     the disk with base point ``alpha`` (None picks one); the side becomes a
-    boundary arc whose harmonic measure at the image point has a closed
-    form after a Moebius transform pinning the arc at (-i, 1, i). The
-    values are row ``side - 1`` of harmonic_measure_all.
+    boundary arc, whose harmonic measure at the image point is closed-form
+    in the angle the arc subtends there (_side_measure). The values are
+    row ``side - 1`` of harmonic_measure_all.
     """
     _check_sides(curve, [side])
     out = harmonic_measure_all(curve, alpha, z)[side - 1]
@@ -333,16 +334,31 @@ def _check_circle_quad(points):
     return pts
 
 
+def _cross_ratio_image(anchors, targets, d):
+    """Image of d under the Moebius map that sends the three anchors to the three targets.
+
+    The map keeps the cross-ratio, so s = [d, a; b, c] of d against the
+    anchors (a, b, c) is also that of the image x against the targets
+    (z1, z2, z3); solved for x, this is z1 plus a term that vanishes at d = a.
+    """
+    a, b, c = anchors
+    z1, z2, z3 = targets
+    s = (d - a) * (b - c) / ((d - c) * (b - a))
+    return z1 + s * (z1 - z3) * (z2 - z1) / ((z2 - z3) - s * (z2 - z1))
+
+
 def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTrace:
     """Conformal modulus of the disk quadrilateral (z1, z2, z3, z4).
 
     The sought modulus is the aspect ratio r of the rectangle with
     vertices (0, 1, 1+ir, ir) that maps conformally onto the disk with
     corners going to the marked points. Starting from r = 1, each
-    iteration maps the current rectangle onto the disk, sends the images
-    of (0, 1, 1+ir) to (z1, z2, z3) by a Moebius transform, and corrects
-    r by the angular mismatch of the fourth corner's image against z4,
-    with a step-doubling/halving control and a 20 percent cap per step.
+    iteration maps the current rectangle onto the disk, takes the image
+    of its fourth corner under the Moebius map sending the images of
+    (0, 1, 1+ir) to (z1, z2, z3), which the cross-ratio fixes
+    (_cross_ratio_image), and corrects r by the angular mismatch of that
+    image against z4, with a step-doubling/halving control and a 20
+    percent cap per step.
 
     Non-convergence within _QUAD_MAX_ITER iterations is reported through the
     returned trace (``converged=False``), not as an exception.
@@ -364,9 +380,8 @@ def quad_modulus(z1, z2, z3, z4, cfg: QuadConfig | None = None) -> QuadModulusTr
         # from the default base, the centre (1 + i r) / 2, where the map folds both mirrors
         dm = map_bounded(curve, x0=rho_prev)
         rho_prev = dm.solution.rho
-        corners = list(curve.corners)
-        psi = mobius_three_points(tuple(_circle_images(dm, corners[:3])), (z1, z2, z3))
-        z4k = complex(psi(_circle_images(dm, corners[3])))
+        images = _circle_images(dm, list(curve.corners))
+        z4k = _cross_ratio_image(images[:3], (z1, z2, z3), images[3])
         delta_step = math.atan2((z4k / z4).imag, (z4k / z4).real) / TWO_PI
         deltas.append(delta_step)
         # step-size control once three angular mismatches are available:

@@ -1,13 +1,12 @@
-"""Disk maps, Cauchy evaluation, Moebius transforms, slit openings."""
+"""Disk maps, Cauchy evaluation, slit openings."""
 
 import numpy as np
 import pytest
 
 from conforminv.curves import (make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk)
-from conforminv.diskmap import (DiskMap, Mobius, _evaluate, cauchy_eval,
-                                map_bounded, map_unbounded,
-                                mobius_three_points, slit_opening_forward)
+from conforminv.diskmap import (DiskMap, _evaluate, cauchy_eval, map_bounded, map_unbounded,
+                                slit_opening_forward)
 from conforminv.invariants import _SLIT_BASE_IMAGE
 from conforminv.kernel import GnkSolution
 
@@ -122,37 +121,6 @@ def test_cauchy_f_unbounded_analytic(circle):
     val = _evaluate(dm, np.array([3.0 + 0.0j]))[2][0]
     want = 3.0 * np.exp(1.0 / 3.0)
     assert abs(val - want) < 1e-10 * abs(want)
-
-
-# ------------------------------------------------------------ Moebius
-
-def test_mobius_three_points_interpolates(rng):
-    for _ in range(5):
-        src = np.exp(2j * np.pi * np.sort(rng.uniform(0.0, 1.0, 3)))
-        dst = np.exp(2j * np.pi * np.sort(rng.uniform(0.0, 1.0, 3)))
-        psi = mobius_three_points(tuple(src), tuple(dst))
-        np.testing.assert_allclose(psi(src), dst, atol=1e-12)
-        inv = psi.inverse()
-        np.testing.assert_allclose(inv(psi(np.array([0.3 + 0.1j]))),
-                                   [0.3 + 0.1j], atol=1e-12)
-    with pytest.raises(ValueError, match="exactly three"):
-        mobius_three_points((1.0, 1j), (1.0, 1j, -1.0))
-    with pytest.raises(ValueError, match="pairwise distinct"):
-        mobius_three_points((1.0, 1j, 1.0), (1.0, 1j, -1.0))
-
-
-def test_mobius_unimodular_anchors_preserve_circle(rng):
-    src = np.exp(1j * np.array([0.3, 1.1, 2.0]))
-    dst = np.exp(1j * np.array([-1.0, 0.4, 2.2]))
-    psi = mobius_three_points(tuple(src), tuple(dst))
-    z = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
-    assert np.max(np.abs(np.abs(psi(z)) - 1.0)) < 1e-12
-
-
-def test_mobius_dataclass_roundtrip():
-    m = Mobius(2.0, 1.0, 0.0, 1.0)  # z -> 2z + 1
-    assert abs(m(1.0) - 3.0) < 1e-15
-    assert abs(m.inverse()(3.0) - 1.0) < 1e-15
 
 
 # ------------------------------------------------------- slit openings

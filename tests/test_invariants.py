@@ -1,10 +1,12 @@
 """Invariants: hyperbolic distance, moduli, harmonic measure, grids."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conforminv import (GridSpec, ScalarField, conformal_radius,
                         harmonic_measure, harmonic_measure_all,
@@ -12,6 +14,7 @@ from conforminv import (GridSpec, ScalarField, conformal_radius,
                         make_amoeba, make_ellipse, make_polygon, map_unbounded,
                         oracle_reduced_modulus, reduced_modulus,
                         reduced_modulus_slit_disk)
+from conforminv.invariants import _side_measure
 
 
 def disk_metric(w1, w2):
@@ -155,6 +158,59 @@ def test_harmonic_measure_side_validation():
         harmonic_measure(square, 0, 0.0, [0.0 + 0.0j])
     with pytest.raises(ValueError):
         harmonic_measure(square, 5, 0.0, [0.0 + 0.0j])
+
+
+def test_sides_need_two_corners():
+    # one corner makes one side, the whole boundary, whose arc closes on itself
+    one = dataclasses.replace(make_polygon([0.0, 2.0, 2.0j], 64), corners=(0,))
+    with pytest.raises(ValueError, match="at least two corners"):
+        harmonic_measure_all(one, None, [0.5 + 0.5j])
+    with pytest.raises(ValueError, match="at least two corners"):
+        harmonic_measure_all(make_ellipse(1.0, 0.5, 64), 0.0, [0.0])
+
+
+def _corner_images(rng, m):
+    """m counterclockwise angles on the circle, the first two crowded together.
+
+    Corner images crowd on elongated domains; arcs as short as 1e-6 rad
+    are where a Moebius transform pinned at the arc's ends loses digits.
+    """
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    angles[1] = angles[0] + 10.0 ** rng.uniform(-6.0, -1.0)
+    return angles
+
+
+def _disk_points(rng, count):
+    radius = 0.9 * np.sqrt(rng.uniform(0.0, 1.0, count))
+    return radius * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, count))
+
+
+def test_arc_measure_matches_poisson_integral(rng):
+    longer_than_pi, worst = 0, 0.0
+    for m in (2, 3, 4, 5) * 10:
+        angles = _corner_images(rng, m)
+        w = _disk_points(rng, 3)
+        for k in range(1, m + 1):
+            start, end = angles[k - 1], angles[k % m] + (2.0 * np.pi if k == m else 0.0)
+            longer_than_pi += end - start > np.pi
+            for wj, got in zip(w, _side_measure(np.exp(1j * angles), k, w)):
+                def poisson(t, wj=wj):
+                    return (1.0 - abs(wj) ** 2) / abs(np.exp(1j * t) - wj) ** 2 / (2.0 * np.pi)
+
+                want = quad(poisson, start, end, epsabs=1e-13, epsrel=0.0)[0]
+                worst = max(worst, abs(got - want))
+    assert longer_than_pi >= 20
+    assert worst <= 1e-13
+
+
+def test_arc_measures_sum_to_one(rng):
+    worst = 0.0
+    for m in (2, 3, 4, 6) * 50:
+        zet = np.exp(1j * _corner_images(rng, m))
+        w = _disk_points(rng, 10)
+        total = np.sum([_side_measure(zet, k, w) for k in range(1, m + 1)], axis=0)
+        worst = max(worst, np.max(np.abs(total - 1.0)))
+    assert worst <= 4e-15
 
 
 # --------------------------------------------------- grids and field I/O

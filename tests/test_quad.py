@@ -83,6 +83,23 @@ def test_general_domain_gmres_floor_stall_on_l_shape():
     assert tr.converged
 
 
+def _mobius_matrix(a, b, c):
+    # sends (a, b, c) to (0, 1, infinity)
+    return np.array([[b - c, -a * (b - c)], [b - a, -c * (b - a)]])
+
+
+def test_cross_ratio_image_is_the_three_point_mobius_map(rng):
+    for _ in range(50):
+        anchors = np.exp(1j * np.sort(rng.uniform(0.0, 2.0 * PI, 3)))
+        targets = np.exp(1j * np.sort(rng.uniform(0.0, 2.0 * PI, 3)))
+        d = np.exp(1j * rng.uniform(0.0, 2.0 * PI))
+        image = invariants._cross_ratio_image(anchors, targets, d)
+        assert abs(abs(image) - 1.0) <= 1e-14
+        assert invariants._cross_ratio_image(anchors, targets, anchors[0]) == targets[0]
+        m = np.linalg.inv(_mobius_matrix(*targets)) @ _mobius_matrix(*anchors)
+        assert abs(image - (m[0, 0] * d + m[0, 1]) / (m[1, 0] * d + m[1, 1])) <= 1e-12
+
+
 def test_marked_point_validation():
     good = [np.exp(1j * a) for a in (0.1, 1.0, 2.0, 3.0)]
     with pytest.raises(ValueError):  # off the circle
