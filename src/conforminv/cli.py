@@ -28,11 +28,16 @@ Domains are JSON files such as
     {"kind": "arcs", "arcs": [[[0,0], 1.0, 0.0, 6.283185307179586]], "ns": 256}
     {"kind": "opened_slit", "case": "G2", "r": 0.5, "a": 0.0, "ns": 512}
 
-One loader, _build_domain, turns a description into its builder call and
-applies --ns and --grading-p; a field or flag left out is left to the
-builder's own default. redmod's sweeps hand it one description per
-family member or regular polygon, and every mode takes its modulus from
-one helper. A missing or mistyped field is a validation error naming it.
+The table _KINDS declares each kind once: its builder, the fields it needs
+and its optional fields, which are side for an ellipse, grading_p for the
+cornered kinds, and a and ns for an opened slit disk. One loader,
+_build_domain, turns a description into its builder call and applies --ns
+and --grading-p; a field or flag left out is left to the builder's own
+default. redmod's sweeps hand it one description per family member or
+regular polygon, and every mode takes its modulus from one helper. A
+missing or mistyped field, a field the kind does not have, a count n or ns
+that is not a whole number, and --grading-p on an ellipse or amoeba are
+validation errors naming the field or flag.
 
 Complex values on the command line accept either "1+4j" or "1+4i".
 Exit codes: 0 success, 2 validation or usage error, 3 solver failure,
@@ -49,7 +54,8 @@ import sys
 
 import numpy as np
 
-from .curves import (
+# _build_domain calls these through their names in _KINDS, so patching one here takes effect
+from .curves import (  # noqa: F401
     make_amoeba,
     make_circular_arc_polygon,
     make_ellipse,
@@ -157,10 +163,13 @@ def _setting(desc: dict, key: str, read=float, default=None, override=None):
         raise ValueError(f"domain file field {key!r}: {exc}") from None
 
 
-def _given(desc: dict, key: str, name: str, read=float, override=None) -> dict:
-    """{name: value} when a flag or the domain file gives key, else {}: the builder's default."""
-    given = override is not None or key in desc
-    return {name: _setting(desc, key, read, override=override)} if given else {}
+def _whole(value) -> int:
+    """A JSON count: a whole number such as 64 or 64.0, not 64.5, true or "64"."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"needs a whole number, got {value!r}")
+    return value
 
 
 def _read_domain(path: str) -> dict:
@@ -176,42 +185,55 @@ def _curve(args):
     return _build_domain(_read_domain(args.domain), args)
 
 
+# kind -> (name of its builder in this module, the fields it needs in the
+# builder's argument order, its optional fields -> the builder's keywords)
+_KINDS = {
+    "polygon": ("make_polygon", ("vertices", "ns"), {"grading_p": "p"}),
+    "ellipse": ("make_ellipse", ("a", "b", "n"), {"side": "kind"}),
+    "amoeba": ("make_amoeba", ("n",), {}),
+    "arcs": ("make_circular_arc_polygon", ("arcs", "ns"), {"grading_p": "p"}),
+    "rectangle": ("make_rectangle", ("r", "ns"), {"grading_p": "p"}),
+    "opened_slit": ("make_opened_slit_disk", ("case", "r"),
+                    {"a": "a", "ns": "n_s", "grading_p": "p"}),
+}
+
+# field -> its reader; any other field is read by float
+_READERS = {
+    "vertices": lambda vs: [_as_complex(v) for v in vs],
+    "arcs": lambda arcs: [(_as_complex(c), float(r), float(t0), float(t1))
+                          for c, r, t0, t1 in arcs],
+    "case": str, "side": str,
+    "n": _whole, "ns": _whole,
+}
+
+
 def _build_domain(desc: dict, args, slit=None):
     """The builder call a domain description asks for, with the --ns/--grading-p overrides.
 
-    An opened slit disk's fields go to `slit`: make_opened_slit_disk (the default)
-    for its curve, or reduced_modulus_slit_disk for its modulus at the family's
-    base point. A field that has a builder default is passed on only when given,
-    so the builder's own default applies otherwise.
+    Needed fields go positionally; an optional field is passed as its keyword
+    only when given, so the builder's own default applies otherwise. A field
+    the kind does not have is refused. The builder is looked up by name on
+    every call. An opened slit disk's fields go to `slit` when it is given:
+    reduced_modulus_slit_disk, for its modulus at the family's base point.
     """
     kind = _setting(desc, "kind", str)
-    if kind in ("ellipse", "amoeba") and args.grading_p is not None:
+    if kind not in _KINDS:
+        raise ValueError(f"unknown domain kind {kind!r}")
+    builder, needed, optional = _KINDS[kind]
+    unknown = sorted(desc.keys() - {"kind", *needed, *optional})
+    if unknown:
+        raise ValueError(f"domain file field {unknown[0]!r} does not apply to kind {kind!r}")
+    if args.grading_p is not None and "grading_p" not in optional:
         raise ValueError(f"--grading-p applies to cornered domains, not to kind {kind!r}")
-    p = _given(desc, "grading_p", "p", override=args.grading_p)
+    # --ns overrides the file's n (smooth kinds) or ns (panelled kinds)
+    overrides = {"n": args.size, "ns": args.size, "grading_p": args.grading_p}
 
-    def count(key):
-        # --ns overrides the file's n (smooth kinds) or ns (panelled kinds)
-        return _setting(desc, key, int, override=args.size)
+    def read(key):
+        return _setting(desc, key, _READERS.get(key, float), override=overrides.get(key))
 
-    if kind == "polygon":
-        vertices = _setting(desc, "vertices", lambda vs: [_as_complex(v) for v in vs])
-        return make_polygon(vertices, count("ns"), **p)
-    if kind == "ellipse":
-        return make_ellipse(_setting(desc, "a"), _setting(desc, "b"), count("n"),
-                            **_given(desc, "side", "kind", str))
-    if kind == "amoeba":
-        return make_amoeba(count("n"))
-    if kind == "arcs":
-        arcs = _setting(desc, "arcs", lambda arcs: [
-            (_as_complex(c), float(r), float(t0), float(t1)) for c, r, t0, t1 in arcs])
-        return make_circular_arc_polygon(arcs, count("ns"), **p)
-    if kind == "rectangle":
-        return make_rectangle(_setting(desc, "r"), count("ns"), **p)
-    if kind == "opened_slit":
-        return (slit or make_opened_slit_disk)(
-            _setting(desc, "case", str), _setting(desc, "r"), **_given(desc, "a", "a"),
-            **_given(desc, "ns", "n_s", int, args.size), **p)
-    raise ValueError(f"unknown domain kind {kind!r}")
+    given = {name: read(key) for key, name in optional.items()
+             if key in desc or overrides.get(key) is not None}
+    return (slit or globals()[builder])(*map(read, needed), **given)
 
 
 def _print_scalar(value: float):
@@ -360,8 +382,8 @@ def cmd_quadmod(args) -> int | None:
     print(f"r = {trace.r:.15g}")
     print(f"iterations = {trace.iterations}")
     if args.oracle:
-        t1, t2, t3, t4 = angles
-        ref = oracle_quad_r(t2 - t1, t3 - t1, t4 - t1)
+        # offsets from t1 within one turn: points given past 2 pi are the same points
+        ref = oracle_quad_r(*((t - angles[0]) % (2 * np.pi) for t in angles[1:]))
         print(f"oracle = {ref:.15g}")
         print(f"rel_error = {abs(trace.r - ref) / ref:.15g}")
     if not trace.converged:

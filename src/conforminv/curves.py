@@ -29,9 +29,7 @@ __all__ = [
     "make_rectangle",
     "make_opened_slit_disk",
     "spectral_derivative",
-    "winding_number",
     "winding_inside",
-    "boundary_clearance",
 ]
 
 TWO_PI = 2.0 * np.pi

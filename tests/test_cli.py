@@ -309,6 +309,15 @@ def test_quadmod_angles_with_oracle_and_trace(tmp_path, capsys):
     assert float(rows[1][1]) == 1.0  # the iteration starts from r = 1
 
 
+def test_quadmod_oracle_takes_angles_past_two_pi(capsys):
+    # 3.5 pi marks -i, as 1.5 pi does; the oracle used to refuse the raw
+    # offset 3.5 pi after the iteration had printed its result, with exit 2
+    assert main(["quadmod", "--angles-pi=0,0.5,1,3.5", "--ns", "64", "--oracle"]) == 0
+    captured = capsys.readouterr()
+    assert "oracle = 1\n" in captured.out
+    assert captured.err == ""
+
+
 def test_quadmod_points_mode(capsys):
     rc = main(["quadmod", "--points", "1,i,-1,-i", "--ns", "128"])
     assert rc == 0
@@ -488,9 +497,19 @@ NO_CASE = {"kind": "opened_slit", "r": 0.6}
     (NO_CASE, "domain file needs field 'case'", CONFRAD),
     (NO_CASE, "domain file needs field 'case'", ["redmod", "{path}"]),
     (NO_CASE, "domain file needs field 'case'", ["redmod", "{path}", "--sweep", "0.3:0.5:0.1"]),
+    # a fractional count, or a field the kind does not have, used to be
+    # cut or ignored with exit 0; a boolean count reached the builder as 1
+    ({"kind": "polygon", "vertices": SQUARE, "ns": 16.5}, "field 'ns'", CONFRAD),
+    ({"kind": "polygon", "vertices": SQUARE, "ns": 16, "grading-p": 2.0}, "field 'grading-p'",
+     CONFRAD),
+    ({"kind": "ellipse", "a": 1.0, "b": 0.5, "n": 64, "ns": 64}, "field 'ns'", CONFRAD),
+    ({"kind": "ellipse", "a": 1.0, "b": 0.5, "n": 64, "grading_p": 2.0}, "field 'grading_p'",
+     CONFRAD),
+    ({"kind": "ellipse", "a": 1.0, "b": 0.5, "n": True}, "field 'n'", CONFRAD),
 ], ids=["null-semiaxis", "number-vertices", "list-document", "list-ns", "one-element-pair",
         "no-ns", "odd-node-count", "no-kind-redmod", "no-kind-confrad", "no-case-confrad",
-        "no-case-redmod", "no-case-redmod-sweep"])
+        "no-case-redmod", "no-case-redmod-sweep", "fractional-ns", "polygon-grading-dash",
+        "ellipse-ns", "ellipse-grading-p", "boolean-n"])
 def test_malformed_domain_file_is_validation_error(doc, message, argv, tmp_path, capsys):
     # a field of the wrong JSON type, or a document that is no object, used
     # to escape as a TypeError or AttributeError with exit 1; a missing kind

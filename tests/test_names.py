@@ -1,6 +1,7 @@
 """Every exported name, and every name the benchmark tracer wraps, resolves.
 
-Exported names are those in the package's and each submodule's ``__all__``.
+Exported names are those in the package's and each submodule's ``__all__``;
+the package's are the submodules' put together, plus ``__version__``.
 
 The tracer in perfbench/spans.py marks a whole layer unmeasured when one of
 its target names is gone, so a deletion that leaves such a name stale or
@@ -26,6 +27,15 @@ def _load_spans():
 
 def test_package_exports_resolve():
     assert [name for name in conforminv.__all__ if not hasattr(conforminv, name)] == []
+
+
+def test_package_exports_the_submodules_exports():
+    # each name is declared once, in its submodule's __all__
+    submodules = [importlib.import_module(f"conforminv.{info.name}")
+                  for info in pkgutil.iter_modules(conforminv.__path__)]
+    declared = [name for module in submodules for name in getattr(module, "__all__", [])]
+    assert len(conforminv.__all__) == len(set(conforminv.__all__))
+    assert sorted(conforminv.__all__) == sorted(declared + ["__version__"])
 
 
 def test_submodule_exports_resolve():

@@ -49,6 +49,7 @@ INVOCATIONS = (
     ["hypdist", "L.json", "--z1", "2i", "--z2", "5"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--trace", "t.csv"],
     ["quadmod", "--angles-pi=0,0.5,0.8,1.5", "--oracle"],
+    ["quadmod", "--angles-pi=0,0.5,1,3.5", "--oracle"],  # 3.5 pi marks -i, as 1.5 pi does
     ["quadmod", "--points", "1,i,-1,-i"],
     ["quadmod", "L.json", "--params", "0,1.5,3,4.5"],
     ["redmod", "E.json"],
