@@ -34,11 +34,16 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 # Pairs (target x node) per block of the O(n m) passes over the boundary
-# nodes (point location and Cauchy sums, kernel assembly, the long-double
-# residual), read only by _row_blocks: 1 MB of complex temporaries per
-# block, which stays in cache. Sums run along rows, so results do not
-# depend on the block size.
+# nodes (point location and Cauchy sums, clearance, kernel assembly, the
+# long-double residual), read only by _row_blocks: 1 MB of complex
+# temporaries per block, which stays in cache. Sums and minima run along
+# rows, so results do not depend on the block size.
 _BLOCK_PAIRS = 65_536
+# _clear_of screens with every _COARSE-th node (8 measured the same, 4 was
+# slower), and keeps a relative margin of _MARGIN on both of its tests so
+# that rounding cannot decide a point.
+_COARSE = 16
+_MARGIN = 1e-12
 
 
 class Mirror(NamedTuple):
@@ -454,14 +459,15 @@ def _row_blocks(m: int, n: int, eta=None, z=None):
 
 
 def _boundary_sums(curve: BoundaryCurve, z, values=None):
-    """Flat (inside, rows, cauchy, clear) at points z from one _row_blocks pass.
+    """Flat (inside, rows, cauchy) at points z from one _row_blocks pass.
 
     rows = w sum_j eta'_j / (eta_j - z), w = 2 pi / n, is 2 pi i times the
     winding number and the Cauchy denominator; cauchy weights the same sum
-    by values (None without); clear = min_j |eta_j - z|; inside as in
-    winding_inside. A z on a node gets nan sums: outside, as it should be.
-    Each output keeps its bits whatever the row blocks, and a point alone
-    gets the bits it gets in any batch: it is summed as a pair with itself.
+    by values (None without); inside as in winding_inside. A z on a node
+    gets nan sums: outside, as it should be. Each output keeps its bits
+    whatever the row blocks, and a point alone gets the bits it gets in any
+    batch: it is summed as a pair with itself. Clearance is a pass of its
+    own, boundary_clearance.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
     if z.size == 1:
@@ -469,16 +475,14 @@ def _boundary_sums(curve: BoundaryCurve, z, values=None):
         return tuple(None if out is None else out[:1] for out in pair)
     rows = np.empty(z.shape, dtype=complex)
     cauchy = None if values is None else np.empty(z.shape, dtype=complex)
-    clear = np.empty(z.shape, dtype=float)
     for sl, diff in _row_blocks(z.size, curve.n, curve.eta, z):
-        clear[sl] = np.min(np.abs(diff), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             ker = curve.deta[None, :] / diff
             rows[sl] = curve.weight * np.sum(ker, axis=1)
             if values is not None:
                 cauchy[sl] = curve.weight * (ker @ values)
     inside = np.rint(_winding(rows)) == (1.0 if curve.orientation == "ccw" else 0.0)
-    return inside, rows, cauchy, clear
+    return inside, rows, cauchy
 
 
 def _winding(rows: np.ndarray) -> np.ndarray:
@@ -487,14 +491,14 @@ def _winding(rows: np.ndarray) -> np.ndarray:
 
 
 def _base_ok(curve: BoundaryCurve, z):
-    """(ok, clear) at flat points z: ok where z can be a disk map's base point.
+    """True at flat points z that can be a disk map's base point.
 
     That is winding number +1 (inside) for a counterclockwise curve and -1
     (in the bounded complement) for a clockwise one. A non-finite z, or one
-    on a node, gets nan sums and fails. clear is as in boundary_clearance.
+    on a node, gets nan sums and fails.
     """
-    _, rows, _, clear = _boundary_sums(curve, z)
-    return np.rint(_winding(rows)) == (1.0 if curve.orientation == "ccw" else -1.0), clear
+    rows = _boundary_sums(curve, z)[1]
+    return np.rint(_winding(rows)) == (1.0 if curve.orientation == "ccw" else -1.0)
 
 
 def winding_number(curve: BoundaryCurve, z) -> np.ndarray:
@@ -515,14 +519,48 @@ def winding_inside(curve: BoundaryCurve, z):
     return bool(inside[0]) if z.ndim == 0 else inside.reshape(z.shape)
 
 
+def _nearest(nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """min_j |nodes_j - z| at flat points z, from one _row_blocks pass."""
+    out = np.empty(z.shape)
+    for rows, diff in _row_blocks(z.size, nodes.size, nodes, z):
+        out[rows] = np.min(np.abs(diff), axis=1)
+    return out
+
+
 def boundary_clearance(curve: BoundaryCurve, z) -> np.ndarray:
-    """Distance from each z to the nearest curve node.
+    """Distance from each z to the nearest curve node, flat.
 
     Point-location and evaluation routines degrade within a few node
     spacings of the boundary; callers compare this clearance against
-    ``factor * (2 pi / n) * max |eta'|``.
+    ``factor * (2 pi / n) * max |eta'|``. It is a pass of its own over the
+    nodes, apart from the winding and Cauchy sums, and its values do not
+    depend on the batch a point comes in.
     """
-    return _boundary_sums(curve, z)[3]
+    return _nearest(curve.eta, np.atleast_1d(np.asarray(z, dtype=complex)).ravel())
+
+
+def _clear_of(curve: BoundaryCurve, z, d: float) -> np.ndarray:
+    """boundary_clearance(curve, z) > d at flat points z, decided mostly from coarse nodes.
+
+    dc is the distance to every _COARSE-th node, and reach the largest
+    distance from a node to the nearer of the coarse nodes before and after
+    it (node 0 follows the last). dc is among the distances the clearance
+    is the minimum of, so dc <= d proves a point not clear; by the triangle
+    inequality the clearance is at least dc - reach, so dc - reach > d
+    proves it clear. Both tests keep a relative margin of _MARGIN, and only
+    the points between them get the full clearance, so every point reads
+    as boundary_clearance(curve, z) > d reads.
+    """
+    z = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
+    eta = curve.eta
+    before = np.arange(curve.n) // _COARSE * _COARSE
+    after = np.where(before + _COARSE < curve.n, before + _COARSE, 0)
+    reach = np.max(np.minimum(np.abs(eta - eta[before]), np.abs(eta - eta[after])))
+    dc = _nearest(eta[::_COARSE], z)
+    clear = dc * (1.0 - _MARGIN) - reach * (1.0 + _MARGIN) > d
+    band = ~clear & (dc * (1.0 + _MARGIN) > d)
+    clear[band] = boundary_clearance(curve, z[band]) > d
+    return clear
 
 
 def node_spacing_scale(curve: BoundaryCurve) -> float:

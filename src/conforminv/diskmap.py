@@ -32,11 +32,14 @@ double precision before it can fail.
 
 Interior values of f come from the boundary values by barycentric-
 normalized Cauchy integrals, and Phi is then evaluated through its
-closed-form expression in f. _evaluate gives point location (winding
-number, nearest-node distance) and Phi from one pass over the boundary
-nodes; cauchy_eval and the invariants' grid fields both read it. What
-the invariants need afterwards lies on the unit circle and is closed-form
-there, so it lives in invariants, not here.
+closed-form expression in f. _evaluate gives the inside flags (winding
+number) and Phi from one pass over the boundary nodes; cauchy_eval and
+the invariants' grid fields both read it. The distance to the nearest
+node is a pass of its own, curves.boundary_clearance: cauchy_eval warns
+from it, and the grid fields decide their standoff before _evaluate, so
+that only the nodes that clear it pay for the sums. What the invariants
+need afterwards lies on the unit circle and is closed-form there, so it
+lives in invariants, not here.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# boundary_clearance, winding_inside: perfbench/spans.py times location under these names
+# winding_inside: unused here, but perfbench/spans.py times location under this name
 from .curves import (BoundaryCurve, _base_ok, _boundary_sums, _check_slit,  # noqa: F401
                      boundary_clearance, node_spacing_scale, winding_inside)
 from .kernel import GnkSolution, _mirror_fold, context, solve_neumann_system
@@ -104,15 +107,15 @@ def _base_point(curve: BoundaryCurve, base: complex | None) -> complex:
         return complex(base)
     # two mirrors are declared through their crossing
     first = curve.mirrors[0].point if len(curve.mirrors) == 2 else complex(np.mean(curve.eta))
-    if _base_ok(curve, first)[0][0]:
+    if _base_ok(curve, first)[0]:
         return first
     s = (np.arange(_BASE_GRID) + 0.5) / _BASE_GRID
     x, y = curve.eta.real, curve.eta.imag
     z = ((x.min() + s * np.ptp(x))[None, :] + 1j * (y.min() + s * np.ptp(y))[:, None]).ravel()
-    ok, clearance = _base_ok(curve, z)
-    if not np.any(ok):
+    cells = z[_base_ok(curve, z)]
+    if not cells.size:
         raise ValueError("found no default base point; give one")
-    return complex(z[ok][np.argmax(clearance[ok])])
+    return complex(cells[np.argmax(boundary_clearance(curve, cells))])
 
 
 def map_bounded(curve: BoundaryCurve, alpha: complex | None = None,
@@ -139,7 +142,7 @@ def map_unbounded(curve: BoundaryCurve, beta: complex | None = None) -> DiskMap:
 
 
 def _evaluate(dmap: DiskMap, z: np.ndarray):
-    """Inside flags, node clearances and Phi at flat points z, from one pass.
+    """Inside flags and Phi at flat points z, from one pass over the nodes.
 
     f is the barycentric-normalized discrete Cauchy integral, whose numerator
     and denominator share their dominant quadrature error. The unbounded mode
@@ -148,12 +151,12 @@ def _evaluate(dmap: DiskMap, z: np.ndarray):
     from f in closed form; at points outside the domain it is meaningless
     and raises no floating-point warning.
     """
-    inside, rows, num, clearance = _boundary_sums(dmap.curve, z, dmap.f_boundary)
+    inside, rows, num = _boundary_sums(dmap.curve, z, dmap.f_boundary)
     ccw = dmap.curve.orientation == "ccw"
     dz = z - dmap.base
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = num / (rows if ccw else rows + 2j * np.pi)
-        return inside, clearance, np.exp(-dmap.h) * dz * np.exp(dz * f if ccw else f)
+        return inside, np.exp(-dmap.h) * dz * np.exp(dz * f if ccw else f)
 
 
 def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
@@ -166,10 +169,10 @@ def cauchy_eval(dmap: DiskMap, z) -> np.ndarray:
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
     scalar = np.asarray(z).ndim == 0
-    inside, clearance, phi = _evaluate(dmap, z_arr.ravel())
+    inside, phi = _evaluate(dmap, z_arr.ravel())
     if not np.all(inside):
         raise ValueError("evaluation point outside the domain")
-    if np.any(clearance < 5.0 * node_spacing_scale(dmap.curve)):
+    if np.any(boundary_clearance(dmap.curve, z_arr) < 5.0 * node_spacing_scale(dmap.curve)):
         warnings.warn("evaluation point close to the boundary; "
                       "accuracy degrades there", stacklevel=2)
     phi = phi.reshape(z_arr.shape)

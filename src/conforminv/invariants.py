@@ -15,7 +15,6 @@ rectangle's fourth corner through the cross-ratio.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -24,8 +23,9 @@ import numpy as np
 
 # boundary_clearance, winding_inside, winding_number: perfbench/spans.py times
 # point location under these names
-from .curves import (BoundaryCurve, boundary_clearance, make_opened_slit_disk,  # noqa: F401
-                     make_rectangle, node_spacing_scale, winding_inside, winding_number)
+from .curves import (BoundaryCurve, _clear_of, boundary_clearance,  # noqa: F401
+                     make_opened_slit_disk, make_rectangle, node_spacing_scale,
+                     winding_inside, winding_number)
 from .diskmap import _evaluate, cauchy_eval, map_bounded, map_unbounded
 
 __all__ = [
@@ -92,15 +92,16 @@ class ScalarField:
     values: np.ndarray  # NaN where mask is False
 
     def write_csv(self, path):
+        """Rows x,y,inside,value, x fastest, in the csv module's excel dialect."""
+        xs = [f"{x:.15g}" for x in self.grid_x.tolist()]
+        lines = ["x,y,inside,value"]
+        for y, mask, values in zip(self.grid_y.tolist(), self.mask.tolist(),
+                                   self.values.tolist()):
+            y = f"{y:.15g}"
+            lines += [f"{x},{y},1,{v:.15g}" if inside else f"{x},{y},0,nan"
+                      for x, inside, v in zip(xs, mask, values)]
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "inside", "value"])
-            for j, y in enumerate(self.grid_y):
-                for i, x in enumerate(self.grid_x):
-                    inside = int(self.mask[j, i])
-                    v = self.values[j, i]
-                    writer.writerow([f"{x:.15g}", f"{y:.15g}", inside,
-                                     f"{v:.15g}" if inside else "nan"])
+            fh.write("\r\n".join(lines) + "\r\n")
 
     def write_json(self, path):
         vals = [[(None if not self.mask[j, i] else float(self.values[j, i]))
@@ -117,19 +118,29 @@ class ScalarField:
             fh.write("\n")
 
 
-def _admissible(curve: BoundaryCurve, inside, clearance):
-    """Inside test plus a 10-node-spacing standoff from the boundary."""
-    return inside & (clearance > 10.0 * node_spacing_scale(curve))
+def _admissible(curve: BoundaryCurve, z):
+    """True at flat points z that clear the grid fields' standoff of ten node spacings.
+
+    Decided before any winding or Cauchy sum, and exactly as comparing
+    boundary_clearance would decide it (curves._clear_of).
+    """
+    return _clear_of(curve, z, 10.0 * node_spacing_scale(curve))
 
 
 def _disk_field(dm, grid: GridSpec, value_of) -> ScalarField:
-    """value_of(Phi(z)) at the admissible grid nodes z, all from one boundary pass."""
+    """value_of(Phi(z)) at the grid nodes z inside the domain and clear of the standoff.
+
+    The standoff is screened first, and only the nodes that clear it pay
+    for the boundary pass of _evaluate.
+    """
     x, y = grid.axes()
     z = grid.mesh().ravel()
-    inside, clearance, phi = _evaluate(dm, z)
-    mask = _admissible(dm.curve, inside, clearance)
+    far = np.flatnonzero(_admissible(dm.curve, z))
+    inside, phi = _evaluate(dm, z[far])
+    mask = np.zeros(z.shape, dtype=bool)
+    mask[far[inside]] = True
     values = np.full(z.shape, np.nan)
-    values[mask] = value_of(phi[mask])
+    values[mask] = value_of(phi[inside])
     return ScalarField(x, y, mask.reshape(y.size, x.size), values.reshape(y.size, x.size))
 
 

@@ -141,7 +141,7 @@ def context(curve: BoundaryCurve, base: complex) -> KernelContext:
     base = complex(base)
     bounded = curve.orientation == "ccw"
     # a non-finite base, or one on a node, gets nan winding sums and fails
-    if not _base_ok(curve, base)[0][0]:
+    if not _base_ok(curve, base)[0]:
         raise ValueError("base point alpha must lie inside the domain" if bounded
                          else "auxiliary point beta must lie in the bounded complement")
     return KernelContext(curve, base if bounded else None, _mirror_fold(curve, None))

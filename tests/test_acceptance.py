@@ -192,8 +192,7 @@ def _interior_points(curve, rng, count):
     while len(pts) < count:
         z = (rng.uniform(xs.min(), xs.max(), 256)
              + 1j * rng.uniform(ys.min(), ys.max(), 256))
-        inside, _, _, clearance = _boundary_sums(curve, z)
-        pts.extend(z[_admissible(curve, inside, clearance)])
+        pts.extend(z[_boundary_sums(curve, z)[0] & _admissible(curve, z)])
     return np.array(pts[:count])
 
 

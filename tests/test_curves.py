@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conforminv import curves
-from conforminv.curves import (BoundaryCurve, _boundary_sums, boundary_clearance,
+from conforminv.curves import (BoundaryCurve, _boundary_sums, _clear_of, boundary_clearance,
                                make_amoeba, make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk, make_polygon,
                                make_rectangle, node_spacing_scale,
@@ -302,6 +302,37 @@ def test_clearance_and_spacing():
 
 
 L_VERTICES = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+
+
+@pytest.mark.parametrize("cv", [
+    make_polygon(L_VERTICES, 512, p=3.0),
+    # 1000 and 1022 nodes are not multiples of _COARSE: their last nodes wrap to node 0
+    make_ellipse(1.0, 0.5, 1000, "exterior"),
+    make_opened_slit_disk("G3", 0.6, 0.2, n_s=512),
+    make_amoeba(1022),
+], ids=["L", "ellipse-exterior", "G3", "amoeba"])
+def test_clear_of_decides_as_the_full_clearance(cv, rng, monkeypatch):
+    # random points around the curve, against thresholds drawn from their
+    # own clearances (so that many points sit near them), multiples of the
+    # node spacing and 0; exact ties read False and the next float down True
+    lo, hi = cv.eta.real.min() - 0.5, cv.eta.real.max() + 0.5
+    bottom, top = cv.eta.imag.min() - 0.5, cv.eta.imag.max() + 0.5
+    z = rng.uniform(lo, hi, 2000) + 1j * rng.uniform(bottom, top, 2000)
+    clearance = boundary_clearance(cv, z)
+    full = []
+    monkeypatch.setattr(curves, "boundary_clearance",
+                        lambda c, pts: full.append(len(pts)) or boundary_clearance(c, pts))
+    scale = node_spacing_scale(cv)
+    for d in [0.0, scale, 5.0 * scale, 10.0 * scale, *rng.choice(clearance, 5)]:
+        assert np.array_equal(_clear_of(cv, z, d), clearance > d)
+    # the coarse nodes decide most points; the others take the full clearance
+    assert 0 < sum(full) < 0.5 * len(full) * z.size
+    # ties at points whose nearest node is a coarse node, and at others
+    coarse = np.argmin(np.abs(cv.eta[None, :] - z[:, None]), axis=1) % curves._COARSE == 0
+    ties = [*rng.choice(np.flatnonzero(coarse), 10), *rng.choice(np.flatnonzero(~coarse), 10)]
+    for k in ties:
+        assert not _clear_of(cv, z[k], clearance[k])[0]
+        assert _clear_of(cv, z[k], np.nextafter(clearance[k], 0.0))[0]
 
 
 @pytest.mark.parametrize("cv, z", [

@@ -118,7 +118,7 @@ def test_cauchy_f_unbounded_analytic(circle):
     sol = GnkSolution(rho=np.zeros(256), h=0.0, h_spread=0.0, gmres_iters=0, residual=0.0)
     dm = DiskMap(curve=cv, base=0.0, f_boundary=1.0 / cv.eta, phi_boundary=cv.eta,
                  solution=sol)
-    val = _evaluate(dm, np.array([3.0 + 0.0j]))[2][0]
+    val = _evaluate(dm, np.array([3.0 + 0.0j]))[1][0]
     want = 3.0 * np.exp(1.0 / 3.0)
     assert abs(val - want) < 1e-10 * abs(want)
 

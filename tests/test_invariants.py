@@ -9,12 +9,14 @@ import pytest
 from scipy.integrate import quad
 
 from conforminv import (GridSpec, ScalarField, conformal_radius,
-                        harmonic_measure, harmonic_measure_all,
+                        harmonic_measure, harmonic_measure_all, harmonic_measure_field,
                         hyperbolic_distance, hyperbolic_distance_field,
                         make_amoeba, make_ellipse, make_polygon, map_unbounded,
                         oracle_reduced_modulus, reduced_modulus,
                         reduced_modulus_slit_disk)
-from conforminv.invariants import _side_measure
+from conforminv.curves import _boundary_sums, boundary_clearance, node_spacing_scale
+from conforminv.diskmap import _evaluate, cauchy_eval, map_bounded
+from conforminv.invariants import _corner_map, _pair_distance, _side_measure
 
 
 def disk_metric(w1, w2):
@@ -74,6 +76,52 @@ def test_distance_field_matches_pointwise(circle):
     for j, i in zip(*np.nonzero(fld.mask)):
         z = fld.grid_x[i] + 1j * fld.grid_y[j]
         assert abs(fld.values[j, i] - hyperbolic_distance(cv, 2j, 2j, z)) < 1e-12
+
+
+L_SHAPE = [6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j]
+
+
+def _field_at_every_node(dm, grid, value_of):
+    """(mask, values) of a grid field from location, clearance and Phi at every node."""
+    z = grid.mesh().ravel()
+    mask = _boundary_sums(dm.curve, z)[0] & (
+        boundary_clearance(dm.curve, z) > 10.0 * node_spacing_scale(dm.curve))
+    values = np.full(z.shape, np.nan)
+    values[mask] = value_of(_evaluate(dm, z)[1][mask])
+    return mask.reshape(grid.ny, grid.nx), values.reshape(grid.ny, grid.nx)
+
+
+def _assert_field_bits(fld, mask, values):
+    assert np.array_equal(fld.mask, mask)
+    assert np.array_equal(fld.values, values, equal_nan=True)
+
+
+@pytest.mark.parametrize("curve, z1, grid", [
+    (make_polygon(L_SHAPE, 512, p=3.0), 2j, GridSpec(-1.0, 6.0, -1.0, 4.0, 141, 101)),
+    (make_amoeba(1024), 0j, GridSpec(-1.5, 2.8, -1.1, 2.0, 87, 63)),
+], ids=["L", "amoeba"])
+def test_distance_field_bits_match_every_node_evaluation(curve, z1, grid):
+    # the standoff is screened before the boundary pass, and only the nodes
+    # that clear it are summed; the field keeps the bits of evaluating all
+    fld = hyperbolic_distance_field(curve, z1, z1, grid)
+    dm = map_bounded(curve, z1)
+    w1 = cauchy_eval(dm, z1)
+    _assert_field_bits(fld, *_field_at_every_node(dm, grid, lambda w: _pair_distance(w1, w)))
+    assert 0 < fld.mask.sum() < fld.mask.size
+
+
+def test_harmonic_field_bits_match_every_node_evaluation():
+    curve = make_polygon(L_SHAPE, 512, p=3.0)
+    grid = GridSpec(-1.0, 6.0, -1.0, 4.0, 71, 51)
+    sides = [2, 3, 6]
+    fld = harmonic_measure_field(curve, sides, None, grid)
+    dm, zet = _corner_map(curve, None)
+
+    def value_of(w):
+        return np.sum([_side_measure(zet, k, w) for k in sides], 0)
+
+    _assert_field_bits(fld, *_field_at_every_node(dm, grid, value_of))
+    assert 0 < fld.mask.sum() < fld.mask.size
 
 
 def test_distance_field_masks_outside(circle):
@@ -248,6 +296,25 @@ def test_scalarfield_csv_roundtrip(tmp_path, circle):
             assert abs(float(value) - fld.values[j, i]) < 1e-12
         else:
             assert value == "nan"
+
+
+def test_scalarfield_csv_bytes_are_the_csv_modules(tmp_path):
+    # the excel dialect of csv.writer, with 15 significant digits and nan
+    # outside the mask, including a masked node whose value is nan
+    x, y = np.linspace(-1.0, 1.0, 5), np.array([-0.1, 0.0, 1e-20, 2.5])
+    mask = np.array([[True, False, True, True, False]] * 4)
+    values = np.where(mask, np.sin(x[None, :] * 7.0 + y[:, None]) * 1e5, np.nan)
+    values[2, 0] = np.nan
+    fld = ScalarField(x, y, mask, values)
+    fld.write_csv(tmp_path / "field.csv")
+    with open(tmp_path / "want.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "inside", "value"])
+        for j, yj in enumerate(y):
+            for i, xi in enumerate(x):
+                writer.writerow([f"{xi:.15g}", f"{yj:.15g}", int(mask[j, i]),
+                                 f"{values[j, i]:.15g}" if mask[j, i] else "nan"])
+    assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_scalarfield_json_roundtrip(tmp_path, circle):

@@ -36,6 +36,10 @@ DOMAINS = {
     "L.json": {"kind": "polygon",
                "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]],
                "ns": 512, "grading_p": 3.0},
+    # a quarter of L.json's nodes, so the grid fields' standoff masks every node of a 36x26 grid
+    "L128.json": {"kind": "polygon",
+                  "vertices": [[6, 1], [1, 1], [1, 4], [-1, 4], [-1, -1], [6, -1]],
+                  "ns": 128, "grading_p": 3.0},
     "E.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "exterior", "n": 4096},
     "Ei.json": {"kind": "ellipse", "a": 1.0, "b": 0.5, "side": "interior", "n": 1024},
     "G3.json": {"kind": "opened_slit", "case": "G3", "r": 0.6, "a": 0.2, "ns": 512},
@@ -46,6 +50,8 @@ DOMAINS = {
 
 INVOCATIONS = (
     ["hypdist", "L.json", "--z1", "2i", "--grid=-1,6,-1,4,141,101", "--out", "f.csv"],
+    ["hypdist", "A.json", "--z1", "0", "--grid=-1.5,2.8,-1.1,2,87,63", "--out", "a.csv"],
+    ["hypdist", "L128.json", "--z1", "2i", "--grid=-1,6,-1,4,36,26", "--out", "l.csv"],
     ["hypdist", "L.json", "--z1", "2i", "--z2", "5"],
     ["quadmod", "--angles-pi=-1,-0.5,0,0.5", "--trace", "t.csv"],
     ["quadmod", "--angles-pi=0,0.5,0.8,1.5", "--oracle"],
