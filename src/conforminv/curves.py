@@ -1,7 +1,9 @@
 """Discretized boundary curves of simply connected planar domains.
 
-A curve is sampled at n uniformly spaced parameter values on [0, 2 pi).
-A cornered boundary (polygon, arc chain, opened slit disk) is a list of
+A curve is its samples: eta and eta' at n uniformly spaced parameter
+values on [0, 2 pi). BoundaryCurve checks them and reads everything else
+off them: n, the parameter grid, the orientation and the corners. A
+cornered boundary (polygon, arc chain, opened slit disk) is a list of
 pieces, each given n_s nodes of one graded parametrization (Kress's
 corner grading): the derivative vanishes at the corner node that starts
 each piece, so corner nodes carry zero quadrature weight in the integral
@@ -9,7 +11,8 @@ operators downstream. `_graded` lays out the nodes of every such curve.
 
 Orientation convention: counterclockwise for boundaries of bounded
 domains, clockwise when the domain of interest is the unbounded
-complement. Every builder refuses non-finite curve data.
+complement. Every builder refuses non-finite input before it computes
+with it.
 """
 
 from __future__ import annotations
@@ -63,41 +66,67 @@ class Mirror(NamedTuple):
 class BoundaryCurve:
     """Samples of a closed curve eta(t) on the uniform grid t_j = 2 pi j / n.
 
+    ``BoundaryCurve(eta, deta, mirrors=())`` keeps read-only copies of the
+    samples and refuses data that are not finite, arrays of unequal shape,
+    adjacent nodes that coincide and nodes that enclose no area. The
+    orientation and the corners are read off the nodes once; the mirrors
+    are declared, since a line read off rounded nodes is not exact.
+
     Attributes
     ----------
-    n : int
-        Number of nodes.
-    t : ndarray
-        Parameter values, shape (n,).
     eta, deta : ndarray
         Complex samples of the curve and its parameter derivative,
         shape (n,).
-    orientation : str
-        ``"ccw"`` or ``"cw"``.
-    corners : tuple of int
-        Node indices where the parametrization derivative vanishes.
     mirrors : tuple of Mirror
         Mirror symmetries that the builder declares, each sending nodes
         onto nodes. A disk map whose base lies on one or two of them
         solves a folded system (see kernel).
+    orientation : str
+        ``"ccw"`` when the shoelace area of the nodes is positive, else
+        ``"cw"``.
+    corners : tuple of int
+        Node indices where the parametrization derivative vanishes: the
+        nodes of zero quadrature weight.
     """
 
-    n: int
-    t: np.ndarray
     eta: np.ndarray
     deta: np.ndarray
-    orientation: str = "ccw"
-    corners: tuple = field(default_factory=tuple)
-    mirrors: tuple = field(default_factory=tuple)
+    mirrors: tuple = ()
+    orientation: str = field(init=False)
+    corners: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.orientation not in ("ccw", "cw"):
-            raise ValueError("orientation must be 'ccw' or 'cw'")
-        for name in ("t", "eta", "deta"):
-            arr = getattr(self, name)
-            if arr.shape != (self.n,):
-                raise ValueError(f"{name} must have shape ({self.n},)")
-            arr.flags.writeable = False
+        eta = np.array(self.eta, dtype=complex)
+        deta = np.array(self.deta, dtype=complex)
+        if eta.ndim != 1 or deta.shape != eta.shape:
+            raise ValueError("eta and deta must be 1-D arrays of one shape")
+        if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(deta))):
+            raise ValueError("curve data must be finite")
+        # strong grading rounds nodes onto a corner; the kernels divide by node differences
+        if np.any(eta == np.roll(eta, 1)):
+            raise ValueError("adjacent nodes coincide; lower the grading exponent p or n_s")
+        # shoelace area of the nodes scaled to modulus <= 1, so that neither
+        # overflow nor underflow decides its sign
+        z = eta / np.max(np.abs(eta), initial=0.0)
+        nxt = np.roll(z, -1)
+        area = np.sum(z.real * nxt.imag - nxt.real * z.imag)
+        if not area:
+            raise ValueError("the nodes enclose zero area")
+        eta.flags.writeable = deta.flags.writeable = False
+        for name, value in (("eta", eta), ("deta", deta), ("mirrors", tuple(self.mirrors)),
+                            ("orientation", "ccw" if area > 0.0 else "cw"),
+                            ("corners", tuple(np.flatnonzero(deta == 0.0).tolist()))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def n(self) -> int:
+        """Number of nodes."""
+        return self.eta.shape[0]
+
+    @property
+    def t(self) -> np.ndarray:
+        """Parameter values 2 pi j / n, shape (n,)."""
+        return _uniform_t(self.n)
 
     @property
     def weight(self) -> float:
@@ -107,26 +136,6 @@ class BoundaryCurve:
 
 def _uniform_t(n: int) -> np.ndarray:
     return TWO_PI * np.arange(n) / n
-
-
-def _curve(eta, deta, orientation, corners=(), mirrors=()) -> BoundaryCurve:
-    eta = np.ascontiguousarray(eta, dtype=complex)
-    deta = np.ascontiguousarray(deta, dtype=complex)
-    if not (np.all(np.isfinite(eta)) and np.all(np.isfinite(deta))):
-        raise ValueError("curve data must be finite")
-    n = eta.shape[0]
-    # strong grading rounds nodes onto a corner; the kernels divide by node differences
-    if np.any(eta == np.roll(eta, 1)):
-        raise ValueError("adjacent nodes coincide; lower the grading exponent p or n_s")
-    return BoundaryCurve(
-        n=n,
-        t=_uniform_t(n),
-        eta=eta,
-        deta=deta,
-        orientation=orientation,
-        corners=tuple(int(c) for c in corners),
-        mirrors=tuple(mirrors),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -151,6 +160,8 @@ def _grade(tau: np.ndarray, p: float):
 
 
 def _check_grading(n_s: int, p: float):
+    if not isinstance(n_s, (int, np.integer)):
+        raise ValueError(f"n_s must be an integer, got {n_s!r}")
     if n_s < 8:
         raise ValueError("need at least 8 nodes per piece")
     if p < 2.0:
@@ -162,18 +173,16 @@ def _graded(pieces, n_s: int, p: float, mirrors=()) -> BoundaryCurve:
 
     Each piece maps (g, g', scale) to its (eta, deta), where g = _grade(tau)
     on tau = k / n_s, k < n_s, and scale = d tau / d t, since the pieces
-    share [0, 2 pi) equally. Piece k starts at corner node k n_s.
+    share [0, 2 pi) equally. Piece k starts at node k n_s, where g' = 0
+    makes it a corner.
     """
     g, dg = _grade(np.arange(n_s) / n_s, p)
     scale = len(pieces) / TWO_PI
     parts = [piece(g, dg, scale) for piece in pieces]
-    eta = np.concatenate([e for e, _ in parts])
-    deta = np.concatenate([d for _, d in parts])
-    # shoelace area of the nodes; the orientation stamped below must be true
-    nxt = np.roll(eta, -1)
-    if np.sum(eta.real * nxt.imag - nxt.real * eta.imag) <= 0.0:
+    curve = BoundaryCurve(*(np.concatenate(arrays) for arrays in zip(*parts)), mirrors)
+    if curve.orientation != "ccw":
         raise ValueError("the boundary must run counterclockwise")
-    return _curve(eta, deta, "ccw", range(0, eta.size, n_s), mirrors)
+    return curve
 
 
 # ----------------------------------------------------------------------
@@ -201,14 +210,12 @@ def make_ellipse(a: float, b: float, n: int, kind: str = "interior") -> Boundary
     if kind == "interior":
         eta = a * np.cos(t) + 1j * b * np.sin(t)
         deta = -a * np.sin(t) + 1j * b * np.cos(t)
-        orientation = "ccw"
     elif kind == "exterior":
         eta = a * np.cos(t) - 1j * b * np.sin(t)
         deta = -a * np.sin(t) - 1j * b * np.cos(t)
-        orientation = "cw"
     else:
         raise ValueError("kind must be 'interior' or 'exterior'")
-    return _curve(eta, deta, orientation, mirrors=(Mirror(0, 0j, 1 + 0j), Mirror(n // 2, 0j, 1j)))
+    return BoundaryCurve(eta, deta, (Mirror(0, 0j, 1 + 0j), Mirror(n // 2, 0j, 1j)))
 
 
 def make_amoeba(n: int) -> BoundaryCurve:
@@ -223,7 +230,7 @@ def make_amoeba(n: int) -> BoundaryCurve:
     t = _uniform_t(n)
     radius = np.exp(np.cos(t)) * np.cos(2.0 * t) ** 2 + np.exp(np.sin(t)) * np.sin(2.0 * t) ** 2
     eta = radius * np.exp(1j * t)
-    return _curve(eta, spectral_derivative(eta), "ccw")
+    return BoundaryCurve(eta, spectral_derivative(eta))
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +252,8 @@ def _segment_intersects(p1, p2, q1, q2) -> bool:
 
 
 def _validate_polygon(vertices: np.ndarray):
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("curve data must be finite")
     m = len(vertices)
     if m < 3:
         raise ValueError("a polygon needs at least 3 vertices")
@@ -294,6 +303,8 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
     """
     _check_grading(n_s, p)
     arcs = [(complex(c), float(R), float(a0), float(a1)) for (c, R, a0, a1) in arcs]
+    if not np.all(np.isfinite(np.array(arcs, dtype=complex))):
+        raise ValueError("curve data must be finite")
     if not arcs:
         raise ValueError("need at least one arc")
     for (_, R, a0, a1) in arcs:
@@ -308,9 +319,7 @@ def make_circular_arc_polygon(arcs, n_s: int, p: float = 3.0) -> BoundaryCurve:
         phi = a0 + (a1 - a0) * t / TWO_PI
         dphi = (a1 - a0) / TWO_PI
         eta = c + R * np.exp(1j * phi)
-        deta = 1j * R * dphi * np.exp(1j * phi)
-        orientation = "ccw" if a1 > a0 else "cw"
-        return _curve(eta, deta, orientation)
+        return BoundaryCurve(eta, 1j * R * dphi * np.exp(1j * phi))
     # closure check
     for k in range(m):
         c, R, _, a1 = arcs[k]

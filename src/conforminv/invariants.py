@@ -104,18 +104,17 @@ class ScalarField:
             fh.write("\r\n".join(lines) + "\r\n")
 
     def write_json(self, path):
-        vals = [[(None if not self.mask[j, i] else float(self.values[j, i]))
-                 for i in range(self.grid_x.size)]
-                for j in range(self.grid_y.size)]
+        """grid_x, grid_y, inside and values (null outside the mask), one line."""
+        inside = self.mask.tolist()
         doc = {
-            "grid_x": [float(v) for v in self.grid_x],
-            "grid_y": [float(v) for v in self.grid_y],
-            "inside": [[bool(b) for b in row] for row in self.mask],
-            "values": vals,
+            "grid_x": self.grid_x.tolist(),
+            "grid_y": self.grid_y.tolist(),
+            "inside": inside,
+            "values": [[v if m else None for v, m in zip(row, mrow)]
+                       for row, mrow in zip(self.values.tolist(), inside)],
         }
         with open(path, "w") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(json.dumps(doc) + "\n")
 
 
 def _admissible(curve: BoundaryCurve, z):

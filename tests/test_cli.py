@@ -468,13 +468,21 @@ def test_empty_ranges_and_nan_points_name_the_fault(argv, message, lshape_json,
     {"kind": "ellipse", "a": "inf", "b": 0.5, "n": 64},
     {"kind": "arcs", "arcs": [[[0, 0], "nan", 0.0, FULL_TURN]], "ns": 32},
     {"kind": "rectangle", "r": "nan", "ns": 32},
-], ids=["polygon", "ellipse-nan", "ellipse-inf", "arcs", "rectangle"])
+    {"kind": "rectangle", "r": math.inf, "ns": 64},
+    {"kind": "polygon", "vertices": [[0, 0], ["inf", 0], [1, 1]], "ns": 16},
+    {"kind": "arcs", "arcs": [[[0, 0], "inf", 0.0, FULL_TURN]], "ns": 16},
+], ids=["polygon", "ellipse-nan", "ellipse-inf", "arcs", "rectangle", "rectangle-inf",
+        "polygon-inf", "arcs-inf"])
 def test_nonfinite_domain_is_validation_error(desc, tmp_path, capsys):
-    # refused while the curve is built, not blamed on the base point later
+    # refused while the curve is built, not blamed on the base point later,
+    # and before any arithmetic on it, so no RuntimeWarning precedes the
+    # one error line
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(desc))
-    assert main(["confrad", str(path), "--base", "0.1"]) == 2
-    assert "curve data must be finite" in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["confrad", str(path), "--base", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: curve data must be finite\n"
 
 
 SQUARE = [[1, 1], [-1, 1], [-1, -1], [1, -1]]

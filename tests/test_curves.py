@@ -1,11 +1,12 @@
 """Boundary curve construction, grading, and point location."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
-from conforminv import curves
+from conforminv import conformal_radius, curves
 from conforminv.curves import (BoundaryCurve, _boundary_sums, _clear_of, boundary_clearance,
                                make_amoeba, make_circular_arc_polygon, make_ellipse,
                                make_opened_slit_disk, make_polygon,
@@ -255,11 +256,18 @@ def test_graded_deta_is_parameter_derivative(build):
     lambda: make_circular_arc_polygon([(complex(np.nan, 0.0), 1.0, 0.0, np.pi),
                                        (complex(np.nan, 0.0), 1.0, np.pi, TWO_PI)], 32),
     lambda: make_rectangle(np.nan, 32),
+    lambda: make_polygon([0.0, np.inf, 1.0 + 1.0j], 16),
+    lambda: make_rectangle(np.inf, 16),
+    lambda: make_circular_arc_polygon([(0.0j, np.inf, 0.0, TWO_PI)], 16),
+    lambda: make_circular_arc_polygon([(0.0j, 1.0, 0.0, np.pi), (0.0j, 1.0, np.pi, np.inf)], 16),
 ], ids=["polygon-vertex", "ellipse-nan", "ellipse-inf", "circle-radius", "arc-center",
-        "rectangle"])
+        "rectangle", "polygon-inf", "rectangle-inf", "circle-radius-inf", "arc-angle-inf"])
 def test_nonfinite_curve_data_rejected(build):
-    with pytest.raises(ValueError, match="finite"):
-        build()
+    # refused before any arithmetic on it, so no RuntimeWarning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 @pytest.mark.parametrize("kind", ["interior", "exterior"])
@@ -377,9 +385,83 @@ def test_curve_arrays_are_frozen():
 
 
 def test_curve_shape_check():
+    square = np.array([1.0, 1.0j, -1.0, -1.0j])
+    with pytest.raises(ValueError, match="one shape"):
+        BoundaryCurve(square, np.zeros(3, complex))
+    with pytest.raises(ValueError, match="one shape"):
+        BoundaryCurve(square.reshape(2, 2), square.reshape(2, 2))
+    # the orientation and the corners are read off the nodes, never passed
+    with pytest.raises(TypeError):
+        BoundaryCurve(square, 1j * square, orientation="cw")
     with pytest.raises(ValueError):
-        BoundaryCurve(n=4, t=np.zeros(3), eta=np.zeros(4, complex),
-                      deta=np.zeros(4, complex))
-    with pytest.raises(ValueError, match="orientation"):
-        BoundaryCurve(n=4, t=np.zeros(4), eta=np.zeros(4, complex),
-                      deta=np.zeros(4, complex), orientation="up")
+        dataclasses.replace(BoundaryCurve(square, 1j * square), corners=(0, 2))
+
+
+THREE_ARCS = [(0j, 1.0, 0.0, TWO_PI / 3.0), (0j, 1.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0),
+              (0j, 1.0, 2.0 * TWO_PI / 3.0, TWO_PI)]
+
+
+@pytest.mark.parametrize("build, orientation, corners", [
+    (lambda: make_ellipse(1.0, 0.5, 64), "ccw", ()),
+    (lambda: make_ellipse(1.0, 0.5, 64, "exterior"), "cw", ()),
+    (lambda: make_amoeba(128), "ccw", ()),
+    (lambda: make_polygon([6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j], 32), "ccw",
+     (0, 32, 64, 96, 128, 160)),
+    (lambda: make_rectangle(1.3, 16), "ccw", (0, 16, 32, 48)),
+    (lambda: make_circular_arc_polygon(THREE_ARCS, 16), "ccw", (0, 16, 32)),
+    (lambda: make_circular_arc_polygon([(1j, 2.0, 0.5, 0.5 + TWO_PI)], 32), "ccw", ()),
+    (lambda: make_circular_arc_polygon([(1j, 2.0, 0.5, 0.5 - TWO_PI)], 32), "cw", ()),
+    (lambda: make_opened_slit_disk("G1", 0.5, n_s=32), "ccw", (0, 32)),
+    (lambda: make_opened_slit_disk("G2", 0.5, n_s=32), "ccw", (0, 32)),
+    (lambda: make_opened_slit_disk("G3", 0.6, 0.2, n_s=32), "ccw", (0, 32)),
+], ids=["ellipse", "ellipse-exterior", "amoeba", "polygon", "rectangle", "three-arcs",
+        "full-turn-ccw", "full-turn-cw", "G1", "G2", "G3"])
+def test_orientation_and_corners_read_off_the_nodes(build, orientation, corners):
+    # the values every builder used to declare, now derived from the samples
+    cv = build()
+    assert cv.orientation == orientation
+    assert cv.corners == corners
+    assert all(type(c) is int for c in cv.corners)
+
+
+def test_direct_construction_refuses_bad_nodes():
+    eta = np.exp(1j * TWO_PI * np.arange(8) / 8)
+    deta = 1j * eta
+    repeated, nan = eta.copy(), eta.copy()
+    repeated[3] = repeated[2]
+    nan[5] = np.nan
+    # refused here, not later as a NaN residual or as a base point outside the domain
+    for bad, message in ((repeated, "adjacent nodes coincide"), (nan, "finite"),
+                         (eta.real + 0j, "zero area"), (eta[:2], "zero area"),
+                         (eta[:0], "zero area")):
+        with pytest.raises(ValueError, match=message):
+            BoundaryCurve(bad, deta[:bad.size])
+    cv = BoundaryCurve(eta, deta)
+    # the curve keeps read-only copies; the caller's arrays stay writeable
+    assert eta.flags.writeable and deta.flags.writeable
+    assert not (cv.eta.flags.writeable or cv.deta.flags.writeable)
+    eta[0] = 2.0
+    assert cv.eta[0] == 1.0
+    assert cv.n == 8 and np.array_equal(cv.t, TWO_PI * np.arange(8) / 8)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_far_scaled_square_keeps_its_orientation(scale):
+    # the shoelace sum of the raw nodes overflows at 1e160 and underflows at 1e-170
+    unit = make_polygon([0.0, 1.0, 1.0 + 1.0j, 1.0j], 32)
+    cv = BoundaryCurve(scale * unit.eta, scale * unit.deta)
+    assert cv.orientation == "ccw" and cv.corners == unit.corners
+    radius = conformal_radius(cv, scale * (0.5 + 0.5j))
+    assert radius / scale == pytest.approx(conformal_radius(unit, 0.5 + 0.5j), rel=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n_s: make_polygon([0.0, 1.0, 1.0j], n_s),
+    lambda n_s: make_rectangle(1.3, n_s),
+    lambda n_s: make_opened_slit_disk("G1", 0.5, n_s=n_s),
+], ids=["polygon", "rectangle", "opened-slit"])
+def test_fractional_nodes_per_piece_refused(build):
+    # pieces of 8.5 nodes cannot lie on the curve's uniform parameter grid
+    with pytest.raises(ValueError, match="n_s"):
+        build(8.5)
+    assert build(np.int64(16)).n == build(16).n

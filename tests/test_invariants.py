@@ -1,7 +1,6 @@
 """Invariants: hyperbolic distance, moduli, harmonic measure, grids."""
 
 import csv
-import dataclasses
 import json
 
 import numpy as np
@@ -14,7 +13,7 @@ from conforminv import (GridSpec, ScalarField, conformal_radius,
                         make_amoeba, make_ellipse, make_polygon, map_unbounded,
                         oracle_reduced_modulus, reduced_modulus,
                         reduced_modulus_slit_disk)
-from conforminv.curves import _boundary_sums, boundary_clearance, node_spacing_scale
+from conforminv.curves import _boundary_sums, _graded, boundary_clearance, node_spacing_scale
 from conforminv.diskmap import _evaluate, cauchy_eval, map_bounded
 from conforminv.invariants import _corner_map, _pair_distance, _side_measure
 
@@ -209,8 +208,12 @@ def test_harmonic_measure_side_validation():
 
 
 def test_sides_need_two_corners():
-    # one corner makes one side, the whole boundary, whose arc closes on itself
-    one = dataclasses.replace(make_polygon([0.0, 2.0, 2.0j], 64), corners=(0,))
+    # a one-piece graded circle has one corner, node 0, so one side: the
+    # whole boundary, whose arc closes on itself
+    turn = 2j * np.pi
+    one = _graded([lambda g, dg, scale: (np.exp(turn * g), turn * np.exp(turn * g) * dg * scale)],
+                  64, 3.0)
+    assert one.corners == (0,)
     with pytest.raises(ValueError, match="at least two corners"):
         harmonic_measure_all(one, None, [0.5 + 0.5j])
     with pytest.raises(ValueError, match="at least two corners"):
@@ -315,6 +318,25 @@ def test_scalarfield_csv_bytes_are_the_csv_modules(tmp_path):
                 writer.writerow([f"{xi:.15g}", f"{yj:.15g}", int(mask[j, i]),
                                  f"{values[j, i]:.15g}" if mask[j, i] else "nan"])
     assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_scalarfield_json_bytes_are_the_json_modules(tmp_path):
+    # json.dump of per-node Python values: null outside the mask, NaN for a
+    # node inside it whose value is nan, then one newline
+    x, y = np.linspace(-1.0, 1.0, 5), np.array([-0.1, 0.0, 1e-20, 2.5])
+    mask = np.array([[True, False, True, True, False]] * 4)
+    values = np.where(mask, np.sin(x[None, :] * 7.0 + y[:, None]) * 1e5, np.nan)
+    values[2, 0] = np.nan
+    ScalarField(x, y, mask, values).write_json(tmp_path / "field.json")
+    doc = {"grid_x": [float(v) for v in x], "grid_y": [float(v) for v in y],
+           "inside": [[bool(b) for b in row] for row in mask],
+           "values": [[float(values[j, i]) if mask[j, i] else None for i in range(x.size)]
+                      for j in range(y.size)]}
+    with open(tmp_path / "want.json", "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+    got = (tmp_path / "field.json").read_bytes()
+    assert got == (tmp_path / "want.json").read_bytes() and b"NaN" in got
 
 
 def test_scalarfield_json_roundtrip(tmp_path, circle):

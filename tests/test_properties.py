@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from conforminv import (QuadConfig, harmonic_measure_all, hyperbolic_distance, make_ellipse,
                         make_polygon, quad_modulus, reduced_modulus)
-from conforminv.curves import _curve
+from conforminv.curves import BoundaryCurve
 
 L_SHAPE = np.array([6 + 1j, 1 + 1j, 1 + 4j, -1 + 4j, -1 - 1j, 6 - 1j])
 N_S = 128
@@ -66,7 +66,7 @@ def _ellipse(kind):
 
 
 def _mapped(curve, a, b):
-    return _curve(a * curve.eta + b, a * curve.deta, curve.orientation, curve.corners)
+    return BoundaryCurve(a * curve.eta + b, a * curve.deta)
 
 
 @SIMILARITY

@@ -10,7 +10,10 @@ The CLI prints scalars with 15 significant digits, so a change in the
 last bits of a result can leave its digest the same. A second section
 therefore runs the library calls behind the invocations in this process,
 also with one BLAS thread, and prints their results exactly: float.hex
-of each scalar and the sha256 of each array's bytes.
+of each scalar and the sha256 of each array's bytes. It first prints the
+node count, orientation and corners of the curve of each domain file and
+of a few more curves (two opened slit disks, a three-arc chain, a
+clockwise full turn).
 
 Run it in two checkouts and diff the outputs to see which results
 changed in any bit:
@@ -29,6 +32,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,9 +100,22 @@ def library_lines():
     """'name exact-value' lines for the library calls behind the invocations."""
     import numpy as np
 
-    from conforminv import (QuadConfig, harmonic_measure, harmonic_measure_all, make_amoeba,
-                            make_ellipse, make_opened_slit_disk, make_polygon, make_rectangle,
-                            map_bounded, map_unbounded, quad_modulus, reduced_modulus)
+    from conforminv import (QuadConfig, cli, harmonic_measure, harmonic_measure_all, make_amoeba,
+                            make_circular_arc_polygon, make_ellipse, make_opened_slit_disk,
+                            make_polygon, make_rectangle, map_bounded, map_unbounded,
+                            quad_modulus, reduced_modulus)
+
+    # the curves as the CLI loads the domain files, with no --ns or --grading-p
+    no_overrides = SimpleNamespace(size=None, grading_p=None)
+    curves = {name: cli._build_domain(desc, no_overrides) for name, desc in DOMAINS.items()}
+    third = 2.0 * np.pi / 3.0
+    curves.update({
+        "G1 0.5": make_opened_slit_disk("G1", 0.5), "G2 0.5": make_opened_slit_disk("G2", 0.5),
+        "three arcs": make_circular_arc_polygon(
+            [(0j, 1.0, k * third, (k + 1) * third) for k in range(3)], 64),
+        "clockwise full turn": make_circular_arc_polygon([(1j, 2.0, 2.0 * np.pi, 0.0)], 64)})
+    for name, cv in curves.items():
+        yield f"curve {name} n={cv.n} orientation={cv.orientation} corners={list(cv.corners)}"
 
     lshape = DOMAINS["L.json"]
     curve = make_polygon([complex(*v) for v in lshape["vertices"]], lshape["ns"],
